@@ -11,13 +11,14 @@ parse errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .cusps import cusp_set, gamma0_cusp_orders
+from .cusps import cusp_set
+# bench/tracing.py wraps this name here:
+from .cusps import gamma0_cusp_orders  # noqa: F401
 from .errors import (
     EtaProverError,
     LoweringError,
@@ -28,21 +29,25 @@ from .errors import (
 )
 from .etaproducts import EtaCombo, EtaProduct, eta_factorize
 from .modularity import modular_function_check, modular_form_check
-from .parser import LinearIdentity, UpIdentity, parse_expression, parse_program
+from .parser import UpIdentity, parse_expression, parse_program
 from .prover import (
     ProofReport,
     Verdict,
+    cusp_order_rows,
     format_order_table,
-    normalize_identity,
+    order_table,
     prove_identity,
 )
+# bench/tracing.py wraps this name here:
+from .prover import normalize_identity  # noqa: F401
 from .up import prove_up_identity
 
-_EXIT_FOR_VERDICT = {
-    Verdict.PROVED: 0,
-    Verdict.BOUND_ONLY: 0,
-    Verdict.REFUTED: 1,
-    Verdict.NOT_APPLICABLE: 2,
+# exit code and verdict line of each verdict
+_VERDICTS = {
+    Verdict.PROVED: (0, "verdict: PROVED"),
+    Verdict.BOUND_ONLY: (0, "verdict: NOT-VERIFIED (bound only)"),
+    Verdict.REFUTED: (1, "verdict: REFUTED"),
+    Verdict.NOT_APPLICABLE: (2, "verdict: NOT-APPLICABLE"),
 }
 
 _CONDITION_TEXT = {
@@ -69,48 +74,13 @@ def _single_product(combo: EtaCombo, what: str) -> EtaProduct:
     raise LoweringError(f"{what} needs a plain eta-product expression", 1, 1)
 
 
-def _certificate(report: ProofReport, command: str, source: str,
-                 margin: int) -> str:
-    cert = {
-        "tool": f"etaprover {__version__}",
-        "command": command,
-        "input": source,
-        "level": report.level,
-        "margin": margin,
-        "verdict": report.verdict.value,
-        "B": str(report.bound),
-        "required_depth": report.required_depth,
-        "checked_depth": report.checked_depth,
-        "constants_warning": report.constants_warning,
-        "cusps": [str(c) for c in report.cusps],
-        "terms": list(report.term_labels),
-        "ord_rows": [[str(v) for v in row] for row in report.term_orders],
-        "column_minima": [str(v) for v in report.column_minima],
-        "up_p": report.up_p,
-        "up_bounds": (None if report.up_bounds is None
-                      else [str(v) for v in report.up_bounds]),
-        "failure": (None if report.failure is None
-                    else [str(report.failure[0]), str(report.failure[1])]),
-        "reason": report.reason,
-    }
-    return json.dumps(cert, indent=2, sort_keys=True) + "\n"
-
-
-def _print_report(report: ProofReport, terms, quiet: bool) -> None:
-    verdictline = {
-        Verdict.PROVED: "verdict: PROVED",
-        Verdict.REFUTED: "verdict: REFUTED",
-        Verdict.NOT_APPLICABLE: "verdict: NOT-APPLICABLE",
-        Verdict.BOUND_ONLY: "verdict: NOT-VERIFIED (bound only)",
-    }[report.verdict]
-    if report.verdict is Verdict.NOT_APPLICABLE:
-        if not quiet:
-            print(f"level: {report.level}")
-            print(report.reason)
-        print(verdictline)
-        return
-    if not quiet:
+def _print_report(report: ProofReport, quiet: bool) -> None:
+    if not quiet and report.verdict is Verdict.NOT_APPLICABLE:
         print(f"level: {report.level}")
+        print(report.reason)
+    elif not quiet:
+        print(f"level: {report.level}")
+        terms = zip(report.term_coefficients, report.term_labels)
         for i, (coeff, label) in enumerate(terms, start=1):
             print(f"f_{i} = {label}   (coefficient {coeff})")
         if report.constants_warning:
@@ -123,50 +93,32 @@ def _print_report(report: ProofReport, terms, quiet: bool) -> None:
         elif report.verdict is Verdict.REFUTED:
             e, c = report.failure
             print(f"nonzero coefficient {c} at q^{e}")
-    print(verdictline)
-
-
-def _report_terms(report: ProofReport, combo: EtaCombo):
-    labels = list(report.term_labels)
-    coeffs = [str(a) for a, _ in combo.terms]
-    if len(coeffs) != len(labels):
-        coeffs = ["?"] * len(labels)
-    return list(zip(coeffs, labels))
+    print(_VERDICTS[report.verdict][1])
 
 
 def _cmd_prove(args) -> int:
-    text = _read_file(args.file)
+    """``prove`` and ``prove-up``: run the prover on a file's identity."""
+    with open(args.file, "r", encoding="utf-8") as fh:
+        text = fh.read()
     ident = parse_program(text)
-    if not isinstance(ident, LinearIdentity):
-        print("error: this file holds a U_p identity; use prove-up",
+    up = args.command == "prove-up"
+    if isinstance(ident, UpIdentity) != up:
+        held, use = ("a linear", "prove") if up else ("a U_p", "prove-up")
+        print(f"error: this file holds {held} identity; use {use}",
               file=sys.stderr)
         return 3
-    report = prove_identity(ident.combo, args.level, margin=args.margin,
-                            verify=args.yes)
-    try:
-        normalized = normalize_identity(ident.combo)
-    except EtaProverError:
-        normalized = ident.combo
-    _print_report(report, _report_terms(report, normalized), args.quiet)
+    if up:
+        report = prove_up_identity(ident.product, ident.p, ident.rhs,
+                                   args.level, margin=args.margin,
+                                   verify=args.yes)
+    else:
+        report = prove_identity(ident.combo, args.level, margin=args.margin,
+                                verify=args.yes)
+    _print_report(report, args.quiet)
     if args.json:
-        _write_cert(args.json, _certificate(report, "prove", text, args.margin))
-    return _EXIT_FOR_VERDICT[report.verdict]
-
-
-def _cmd_prove_up(args) -> int:
-    text = _read_file(args.file)
-    ident = parse_program(text)
-    if not isinstance(ident, UpIdentity):
-        print("error: this file holds a linear identity; use prove",
-              file=sys.stderr)
-        return 3
-    report = prove_up_identity(ident.product, ident.p, ident.rhs, args.level,
-                               margin=args.margin, verify=args.yes)
-    _print_report(report, _report_terms(report, ident.rhs), args.quiet)
-    if args.json:
-        _write_cert(args.json,
-                    _certificate(report, "prove-up", text, args.margin))
-    return _EXIT_FOR_VERDICT[report.verdict]
+        with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(report.to_json(args.command, text, args.margin))
+    return _VERDICTS[report.verdict][0]
 
 
 def _cmd_expand(args) -> int:
@@ -203,16 +155,8 @@ def _cmd_orders(args) -> int:
     combo = parse_expression(args.expr)
     level = args.level
     if combo.constant == 0 and len(combo.terms) == 1 and combo.terms[0][0] == 1:
-        product = combo.terms[0][1]
-        cusps = [s for s in cusp_set(level) if s.c != level]
-        rows = gamma0_cusp_orders(product, cusps, level)
-        report = ProofReport(
-            level=level, verdict=Verdict.BOUND_ONLY,
-            bound=sum((min(v, 0) for _, v in rows), Fraction(0)),
-            required_depth=0, checked_depth=-1, cusps=tuple(cusps),
-            term_labels=(str(product),),
-            term_orders=(tuple(v for _, v in rows),),
-            column_minima=tuple(min(v, 0) for _, v in rows))
+        report = order_table(level, combo.terms,
+                             *cusp_order_rows(combo.terms, level))
         print(format_order_table(report))
         return 0
     report = prove_identity(combo, level, verify=False)
@@ -254,22 +198,30 @@ def _cmd_formcheck(args) -> int:
     return 0
 
 
-def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _write_cert(path: str, payload: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+def _level(text: str) -> int:
+    """argparse type of a level argument: a positive integer."""
+    try:
+        level = int(text)
+    except ValueError:
+        level = 0
+    if level < 1:
+        raise argparse.ArgumentTypeError(
+            f"level must be a positive integer, got {text!r}")
+    return level
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _ArgumentParser(add_help=False)
-    common.add_argument("--quiet", action="store_true",
-                        help="print only the final verdict or value")
-    common.add_argument("--json", metavar="PATH", default=None,
-                        help="write a machine-readable certificate to PATH")
+    quiet = _ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true",
+                       help="print only the final verdict or value")
+    proof = _ArgumentParser(add_help=False, parents=[quiet])
+    proof.add_argument("file")
+    proof.add_argument("--level", type=_level, required=True)
+    proof.add_argument("--margin", type=int, default=10)
+    proof.add_argument("--yes", action="store_true",
+                       help="carry out the verification (otherwise bound only)")
+    proof.add_argument("--json", metavar="PATH", default=None,
+                       help="write a machine-readable certificate to PATH")
 
     top = _ArgumentParser(prog="etaprover",
                           description="Prove eta-product identities on Gamma0(N).")
@@ -277,24 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
                      version=f"etaprover {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prove", parents=[common],
+    p = sub.add_parser("prove", parents=[proof],
                        help="prove a linear eta-product identity file")
-    p.add_argument("file")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--margin", type=int, default=10)
-    p.add_argument("--yes", action="store_true",
-                   help="carry out the verification (otherwise bound only)")
     p.set_defaults(func=_cmd_prove)
 
-    p = sub.add_parser("prove-up", parents=[common],
+    p = sub.add_parser("prove-up", parents=[proof],
                        help="prove a U_p identity file")
-    p.add_argument("file")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--margin", type=int, default=10)
-    p.add_argument("--yes", action="store_true")
-    p.set_defaults(func=_cmd_prove_up)
+    p.set_defaults(func=_cmd_prove)
 
-    p = sub.add_parser("expand", parents=[common],
+    p = sub.add_parser("expand",
                        help="q-expansion of an eta-product expression")
     p.add_argument("expr")
     p.add_argument("--depth", type=int, default=50)
@@ -302,35 +245,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit the fractional q^(t/24) prefactors")
     p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("factor", parents=[common],
+    p = sub.add_parser("factor", parents=[quiet],
                        help="recognize an expression's expansion as an eta-product")
     p.add_argument("expr")
     p.add_argument("--depth", type=int, default=60)
     p.set_defaults(func=_cmd_factor)
 
-    p = sub.add_parser("cusps", parents=[common],
-                       help="inequivalent cusps of Gamma0(N)")
-    p.add_argument("level", type=int)
+    p = sub.add_parser("cusps", help="inequivalent cusps of Gamma0(N)")
+    p.add_argument("level", type=_level)
     p.set_defaults(func=_cmd_cusps)
 
-    p = sub.add_parser("orders", parents=[common],
+    p = sub.add_parser("orders",
                        help="per-cusp order table of a product or identity")
     p.add_argument("expr")
-    p.add_argument("level", type=int)
+    p.add_argument("level", type=_level)
     p.set_defaults(func=_cmd_orders)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="Newman modular-function check")
+    p = sub.add_parser("check", help="Newman modular-function check")
     p.add_argument("expr")
-    p.add_argument("level", type=int)
+    p.add_argument("level", type=_level)
     p.add_argument("--verbose", action="store_true",
                    help="report each condition separately")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("formcheck", parents=[common],
-                       help="modular-form-with-character check")
+    p = sub.add_parser("formcheck", help="modular-form-with-character check")
     p.add_argument("expr")
-    p.add_argument("level", type=int)
+    p.add_argument("level", type=_level)
     p.set_defaults(func=_cmd_formcheck)
     return top
 

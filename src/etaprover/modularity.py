@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
+from .arith import is_square, prime_factors
 from .errors import NotAFormError
 from .etaproducts import EtaProduct
 
@@ -44,10 +44,6 @@ class ModularityVerdict:
         return self.invariant
 
 
-def _is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
 def modular_function_check(ep: EtaProduct, level: int) -> ModularityVerdict:
     """Newman's criterion for a modular function on Gamma0(level).
 
@@ -67,7 +63,7 @@ def modular_function_check(ep: EtaProduct, level: int) -> ModularityVerdict:
     sq = 1
     for t, r in fs:
         sq *= t ** abs(r)
-    c3 = _is_square(sq)
+    c3 = is_square(sq)
     c4 = all(r != 0 and level % t == 0 for t, r in fs)
     s5 = sum((Fraction(level, t) * r for t, r in fs), Fraction(0))
     c5 = s5.denominator == 1 and s5.numerator % 24 == 0
@@ -91,25 +87,12 @@ class FormVerdict:
     half_integral: bool
 
 
-def _prime_factors(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _fundamental_discriminant(n: int) -> int:
     """Fundamental discriminant of Q(sqrt(n)): the squarefree kernel m of n,
     or 4m when m is not 1 mod 4."""
     sign = -1 if n < 0 else 1
     kernel = sign
-    for p, e in _prime_factors(abs(n)).items():
+    for p, e in prime_factors(abs(n)).items():
         if e % 2:
             kernel *= p
     return kernel if kernel % 4 == 1 else 4 * kernel

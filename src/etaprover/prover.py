@@ -10,30 +10,40 @@ other than infinity, computes the bound
 and verifies that every q-coefficient of the combination through q^floor(-B)
 vanishes.  By the weight-zero valence formula this is a complete proof, not
 numerical evidence; extra margin coefficients are checked as a safety net.
+The U_p prover in ``up`` runs the same core with the Gordon-Hughes bounds as
+an extra row of the order table, and the ``orders`` command prints the
+table that :func:`order_table` builds.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import floor
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .cusps import Cusp, cusp_set, gamma0_cusp_order, gamma0_cusp_orders
+from . import __version__
+from .cusps import Cusp, cusp_set, gamma0_cusp_order
+# bench/tracing.py wraps this name here:
+from .cusps import gamma0_cusp_orders  # noqa: F401
 from .errors import (
     EmptyIdentityError,
     InternalInconsistencyError,
     MisalignedRowsError,
 )
-from .etaproducts import EtaCombo
+from .etaproducts import EtaCombo, EtaProduct
 from .modularity import modular_function_check
+from .qseries import QSeries
 
 __all__ = [
     "Verdict",
     "ProofReport",
     "normalize_identity",
     "sum_of_column_minima",
+    "cusp_order_rows",
+    "order_table",
     "prove_identity",
     "format_order_table",
 ]
@@ -55,6 +65,7 @@ class ProofReport:
     ``column_minima`` is the per-cusp minimum that the bound sums, including
     the implicit all-zero row of the constant term when one is present.  For
     U_p identities ``up_bounds`` carries the Gordon-Hughes lower-bound row.
+    ``term_coefficients`` are printed by the CLI but not certified.
     """
 
     level: int
@@ -71,6 +82,39 @@ class ProofReport:
     constants_warning: bool = False
     failure: Optional[tuple[Fraction, Fraction]] = None
     reason: Optional[str] = None
+    term_coefficients: tuple[Fraction, ...] = ()
+
+    def to_json(self, command: str, source: str, margin: int) -> str:
+        """The certificate of this report as JSON text.
+
+        ``command`` names the prover ("prove" or "prove-up"), ``source`` is
+        the identity text it read and ``margin`` the requested margin.  The
+        bytes depend only on these and on the report.
+        """
+        def strs(values):
+            return None if values is None else [str(v) for v in values]
+
+        cert = {
+            "tool": f"etaprover {__version__}",
+            "command": command,
+            "input": source,
+            "level": self.level,
+            "margin": margin,
+            "verdict": self.verdict.value,
+            "B": str(self.bound),
+            "required_depth": self.required_depth,
+            "checked_depth": self.checked_depth,
+            "constants_warning": self.constants_warning,
+            "cusps": strs(self.cusps),
+            "terms": list(self.term_labels),
+            "ord_rows": [strs(row) for row in self.term_orders],
+            "column_minima": strs(self.column_minima),
+            "up_p": self.up_p,
+            "up_bounds": strs(self.up_bounds),
+            "failure": strs(self.failure),
+            "reason": self.reason,
+        }
+        return json.dumps(cert, indent=2, sort_keys=True) + "\n"
 
 
 def normalize_identity(combo: EtaCombo) -> EtaCombo:
@@ -90,6 +134,12 @@ def normalize_identity(combo: EtaCombo) -> EtaCombo:
     return EtaCombo(0, [(a / a0, f * f0_inv) for a, f in combo.terms])
 
 
+def _minima_and_bound(matrix) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Columnwise minima of equal-length order rows, and their sum B."""
+    minima = tuple(min(col) for col in zip(*matrix))
+    return minima, sum(minima, Fraction(0))
+
+
 def sum_of_column_minima(
         rows: Sequence[Sequence[tuple[Cusp, Fraction]]]) -> Fraction:
     """Sum over cusp columns of the columnwise minimum order.
@@ -102,10 +152,46 @@ def sum_of_column_minima(
     for row in rows[1:]:
         if [s for s, _ in row] != cusps:
             raise MisalignedRowsError("order rows have different cusp sequences")
-    total = Fraction(0)
-    for col in zip(*rows):
-        total += min(v for _, v in col)
-    return total
+    return _minima_and_bound([[v for _, v in row] for row in rows])[1]
+
+
+def cusp_order_rows(terms: Sequence[tuple[Fraction, EtaProduct]], level: int
+                    ) -> tuple[list[Cusp], list[tuple[Fraction, ...]]]:
+    """The cusps of Gamma0(level) and, once per term, the width-normalized
+    order of its product at every one of them, the infinite class included."""
+    all_cusps = cusp_set(level)
+    return all_cusps, [tuple(gamma0_cusp_order(f, level, s) for s in all_cusps)
+                       for _, f in terms]
+
+
+def order_table(level: int, terms: Sequence[tuple[Fraction, EtaProduct]],
+                all_cusps: Sequence[Cusp], rows: Sequence[Sequence[Fraction]],
+                *, constant: bool = True, up_row=None, up_p=None,
+                constants_warning: bool = False) -> ProofReport:
+    """The order table and bound B of ``terms``, as a BOUND_ONLY report.
+
+    ``all_cusps`` and ``rows`` come from :func:`cusp_order_rows`; the column
+    of the infinite class is dropped.  The column minima also take in the
+    Gordon-Hughes bound ``up_row(cusp)`` of U_``up_p`` when given, and the
+    zero row of the constant term when ``constant`` is set.
+    """
+    keep = [j for j, s in enumerate(all_cusps) if s.c != level]
+    cusps = tuple(all_cusps[j] for j in keep)
+    orders = tuple(tuple(row[j] for j in keep) for row in rows)
+    up_bounds = None if up_row is None else tuple(up_row(s) for s in cusps)
+    matrix = list(orders)
+    if up_bounds is not None:
+        matrix.append(up_bounds)
+    if constant:
+        matrix.append((Fraction(0),) * len(cusps))
+    minima, bound = _minima_and_bound(matrix)
+    return ProofReport(
+        level=level, verdict=Verdict.BOUND_ONLY, bound=bound,
+        required_depth=floor(-bound), checked_depth=-1, cusps=cusps,
+        term_labels=tuple(str(f) for _, f in terms),
+        term_coefficients=tuple(a for a, _ in terms), term_orders=orders,
+        column_minima=minima, up_bounds=up_bounds, up_p=up_p,
+        constants_warning=constants_warning)
 
 
 def _modularity_failures(terms, level) -> Optional[str]:
@@ -121,40 +207,54 @@ def _modularity_failures(terms, level) -> Optional[str]:
     return None
 
 
-def _total_order_failures(terms, level, all_cusps) -> Optional[str]:
-    bad = []
-    for i, (_, f) in enumerate(terms, start=1):
-        total = sum((gamma0_cusp_order(f, level, s) for s in all_cusps),
-                    Fraction(0))
-        if total != 0:
-            bad.append(f"term {i} = {f} has total cusp order {total}")
-    if bad:
-        return "nonzero total order: " + "; ".join(bad)
-    return None
-
-
 def _not_applicable(level: int, reason: str, *, up_p=None) -> ProofReport:
     return ProofReport(
         level=level, verdict=Verdict.NOT_APPLICABLE, bound=Fraction(0),
         required_depth=0, checked_depth=-1, up_p=up_p, reason=reason)
 
 
-def _scan_vanishing(series, required_depth: int):
-    """Classify an expansion that must vanish through q^required_depth.
+def _valence_proof(combo: EtaCombo, level: int,
+                   vanishing: Callable[[int], QSeries], *, margin: int,
+                   verify: bool, constants_warning: bool, up_row=None,
+                   up_p=None) -> ProofReport:
+    """The proof both provers share, over the terms of ``combo``.
 
-    Returns (verdict, failure) where failure is the first offending
-    (exponent, coefficient) for a refutation.  A nonzero coefficient beyond
-    the required depth but inside the checked window contradicts the valence
-    bound and is raised as an internal error.
+    Newman-checks the terms, computes their cusp orders once, checks that
+    each totals zero, builds the order table and B (see :func:`order_table`)
+    and, when ``verify`` is set, checks that ``vanishing(depth)``, the
+    series that must be 0 below q^depth, vanishes through q^floor(-B).  A
+    nonzero coefficient past that point but below q^depth contradicts the
+    valence bound and is raised as an internal error.
     """
-    lead = series.leading_term()
+    reason = _modularity_failures(combo.terms, level)
+    if reason:
+        return _not_applicable(level, reason, up_p=up_p)
+    all_cusps, rows = cusp_order_rows(combo.terms, level)
+    bad = []
+    for i, ((_, f), row) in enumerate(zip(combo.terms, rows), start=1):
+        total = sum(row, Fraction(0))
+        if total != 0:
+            bad.append(f"term {i} = {f} has total cusp order {total}")
+    if bad:
+        return _not_applicable(
+            level, "nonzero total order: " + "; ".join(bad), up_p=up_p)
+    report = order_table(level, combo.terms, all_cusps, rows,
+                         constant=combo.constant != 0, up_row=up_row,
+                         up_p=up_p, constants_warning=constants_warning)
+    if not verify:
+        return report
+    required = report.required_depth
+    depth = max(required, 0) + max(margin, 1)
+    report = replace(report, verdict=Verdict.PROVED, checked_depth=depth - 1)
+    lead = vanishing(depth).leading_term()
     if lead is None:
-        return Verdict.PROVED, None
-    if lead.exponent <= required_depth:
-        return Verdict.REFUTED, (lead.exponent, Fraction(lead.coefficient))
-    raise InternalInconsistencyError(
-        f"expansion vanishes through q^{required_depth} as the valence bound "
-        f"requires, yet has a nonzero coefficient at q^{lead.exponent}")
+        return report
+    if lead.exponent > required:
+        raise InternalInconsistencyError(
+            f"expansion vanishes through q^{required} as the valence bound "
+            f"requires, yet has a nonzero coefficient at q^{lead.exponent}")
+    return replace(report, verdict=Verdict.REFUTED,
+                   failure=(lead.exponent, Fraction(lead.coefficient)))
 
 
 def prove_identity(combo: EtaCombo, level: int, margin: int = 10,
@@ -175,45 +275,22 @@ def prove_identity(combo: EtaCombo, level: int, margin: int = 10,
     """
     if not isinstance(level, int) or level < 1:
         raise ValueError("level must be a positive integer")
-    constants_warning = combo.constant != 0 and bool(combo.terms)
     if combo.constant == 0 and not combo.terms:
         return ProofReport(level=level, verdict=Verdict.PROVED,
                            bound=Fraction(0), required_depth=0,
                            checked_depth=0)
+    constants_warning = combo.constant != 0 and bool(combo.terms)
     normalized = normalize_identity(combo)
-    terms = normalized.terms
-    if not terms:
+    if not normalized.terms:
         # nothing but a nonzero constant: false at q^0
         return ProofReport(
             level=level, verdict=Verdict.REFUTED, bound=Fraction(0),
             required_depth=0, checked_depth=0,
             constants_warning=constants_warning,
             failure=(Fraction(0), Fraction(1)))
-    reason = _modularity_failures(terms, level)
-    if reason:
-        return _not_applicable(level, reason)
-    all_cusps = cusp_set(level)
-    reason = _total_order_failures(terms, level, all_cusps)
-    if reason:
-        return _not_applicable(level, reason)
-    cusps = [s for s in all_cusps if s.c != level]
-    zero_row = [(s, Fraction(0)) for s in cusps]
-    rows = [gamma0_cusp_orders(f, cusps, level) for _, f in terms]
-    bound = sum_of_column_minima([zero_row] + rows)
-    minima = tuple(min(v for _, v in col) for col in zip(zero_row, *rows))
-    required = floor(-bound)
-    base = dict(
-        level=level, bound=bound, required_depth=required,
-        cusps=tuple(cusps), term_labels=tuple(str(f) for _, f in terms),
-        term_orders=tuple(tuple(v for _, v in row) for row in rows),
-        column_minima=minima, constants_warning=constants_warning)
-    if not verify:
-        return ProofReport(verdict=Verdict.BOUND_ONLY, checked_depth=-1, **base)
-    depth = required + max(margin, 1)
-    g = normalized.expand(Fraction(depth))
-    verdict, failure = _scan_vanishing(g, required)
-    return ProofReport(verdict=verdict, checked_depth=depth - 1,
-                       failure=failure, **base)
+    return _valence_proof(
+        normalized, level, lambda depth: normalized.expand(Fraction(depth)),
+        margin=margin, verify=verify, constants_warning=constants_warning)
 
 
 def format_order_table(report: ProofReport) -> str:

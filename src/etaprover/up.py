@@ -10,51 +10,32 @@ full valence-formula proof for identities U_p(g) = sum alpha_j f_j.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor
 
-from .cusps import Cusp, cusp_set, gamma0_cusp_order, gamma0_cusp_orders
+from .arith import is_prime, nu
+from .cusps import Cusp, gamma0_cusp_order
+# bench/tracing.py wraps these names here:
+from .cusps import cusp_set, gamma0_cusp_orders  # noqa: F401
 from .errors import PreconditionError
 from .etaproducts import EtaCombo, EtaProduct
 from .modularity import modular_function_check
-from .prover import (
-    ProofReport,
-    Verdict,
-    _modularity_failures,
-    _not_applicable,
-    _scan_vanishing,
-    _total_order_failures,
-    sum_of_column_minima,
-)
+from .prover import ProofReport, _not_applicable, _valence_proof
 from .qseries import QSeries
 
 __all__ = ["up_series", "up_order_lower_bound", "prove_up_identity"]
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def up_series(series: QSeries, p: int) -> QSeries:
     """Apply U_p to a q-expansion: keep the coefficients of q^(p*n) at q^n."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"U_p needs a prime p, got {p}")
     return series.sift(p, 0)
 
 
-def _nu(p: int, n: int) -> int:
-    """p-adic valuation of a positive integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+def _check_p(p: int, level: int) -> None:
+    if not is_prime(p):
+        raise PreconditionError(f"p = {p} is not prime")
+    if level % p != 0:
+        raise PreconditionError(f"p = {p} does not divide the level {level}")
 
 
 def up_order_lower_bound(ep: EtaProduct, cusp: Cusp, level: int,
@@ -72,21 +53,24 @@ def up_order_lower_bound(ep: EtaProduct, cusp: Cusp, level: int,
 
     with each argument cusp reduced to lowest terms first.
     """
-    if not _is_prime(p):
-        raise PreconditionError(f"p = {p} is not prime")
-    if level % p != 0:
-        raise PreconditionError(f"p = {p} does not divide the level {level}")
+    _check_p(p, level)
     if cusp.is_infinity or level % cusp.c != 0:
         raise PreconditionError(
             f"cusp {cusp} is not a finite cusp with denominator dividing {level}")
     if not modular_function_check(ep, p * level).invariant:
         raise PreconditionError(
             f"{ep} is not a modular function on Gamma0({p * level})")
+    return _gordon_hughes_bound(ep, cusp, level, p)
+
+
+def _gordon_hughes_bound(ep: EtaProduct, cusp: Cusp, level: int,
+                         p: int) -> Fraction:
+    """The case split of :func:`up_order_lower_bound`, for arguments that
+    already meet its preconditions."""
     b, d = cusp.b, cusp.c
     pN = p * level
-    v = _nu(p, d)
-    vN = _nu(p, level)
-    if 2 * v >= vN:
+    v = nu(p, d)
+    if 2 * v >= nu(p, level):
         return Fraction(1, p) * gamma0_cusp_order(ep, pN, Cusp(b, p * d))
     if v > 0:
         return gamma0_cusp_order(ep, pN, Cusp(b, p * d))
@@ -107,46 +91,20 @@ def prove_up_identity(ep: EtaProduct, p: int, rhs: EtaCombo, level: int,
     """
     if not isinstance(level, int) or level < 1:
         raise ValueError("level must be a positive integer")
-    if not _is_prime(p):
-        raise PreconditionError(f"p = {p} is not prime")
-    if level % p != 0:
-        raise PreconditionError(f"p = {p} does not divide the level {level}")
-    if not modular_function_check(ep, p * level).invariant:
-        bad = modular_function_check(ep, p * level)
-        conds = ",".join(str(k) for k in bad.failed)
+    _check_p(p, level)
+    check = modular_function_check(ep, p * level)
+    if not check.invariant:
+        conds = ",".join(str(k) for k in check.failed)
         return _not_applicable(
             level,
             f"{ep} fails condition(s) {conds} on Gamma0({p * level})",
             up_p=p)
-    terms = rhs.terms
-    reason = _modularity_failures(terms, level)
-    if reason:
-        return _not_applicable(level, reason, up_p=p)
-    all_cusps = cusp_set(level)
-    reason = _total_order_failures(terms, level, all_cusps)
-    if reason:
-        return _not_applicable(level, reason, up_p=p)
-    cusps = [s for s in all_cusps if s.c != level]
-    rows = [gamma0_cusp_orders(f, cusps, level) for _, f in terms]
-    gh_row = [(s, up_order_lower_bound(ep, s, level, p)) for s in cusps]
-    matrix = rows + [gh_row]
-    if rhs.constant != 0:
-        matrix.append([(s, Fraction(0)) for s in cusps])
-    bound = sum_of_column_minima(matrix) if cusps else Fraction(0)
-    minima = tuple(min(v for _, v in col) for col in zip(*matrix))
-    required = floor(-bound)
-    base = dict(
-        level=level, bound=bound, required_depth=required,
-        cusps=tuple(cusps), term_labels=tuple(str(f) for _, f in terms),
-        term_orders=tuple(tuple(v for _, v in row) for row in rows),
-        column_minima=minima,
-        up_bounds=tuple(v for _, v in gh_row), up_p=p,
-        constants_warning=rhs.constant != 0)
-    if not verify:
-        return ProofReport(verdict=Verdict.BOUND_ONLY, checked_depth=-1, **base)
-    depth = max(required, 0) + max(margin, 1)
-    lhs = up_series(ep.expand(Fraction(p * depth)), p)
-    diff = lhs - rhs.expand(Fraction(depth))
-    verdict, failure = _scan_vanishing(diff.truncated(Fraction(depth)), required)
-    return ProofReport(verdict=verdict, checked_depth=depth - 1,
-                       failure=failure, **base)
+
+    def vanishing(depth: int) -> QSeries:
+        lhs = up_series(ep.expand(Fraction(p * depth)), p)
+        return (lhs - rhs.expand(Fraction(depth))).truncated(Fraction(depth))
+
+    return _valence_proof(
+        rhs, level, vanishing, margin=margin, verify=verify,
+        constants_warning=rhs.constant != 0,
+        up_row=lambda cusp: _gordon_hughes_bound(ep, cusp, level, p), up_p=p)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from etaprover.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -217,6 +219,28 @@ def test_orders_identity_table(capsys):
     code, out, _ = run(capsys, "orders", RAMANUJAN.read_text(), "6")
     assert code == 0
     assert "B = -2" in out
+
+
+@pytest.mark.parametrize("level", ["0", "-4"])
+@pytest.mark.parametrize("argv", [
+    ["cusps", "{level}"],
+    ["check", "[1,4,2,-2,10,2,5,-4]", "{level}"],
+    ["orders", "[1,4,2,-2,10,2,5,-4]", "{level}"],
+    ["formcheck", "[1,4,2,-2,10,2,5,-4]", "{level}"],
+    ["prove", str(RAMANUJAN), "--level", "{level}", "--yes"],
+    ["prove-up", str(U5FILE), "--level", "{level}", "--yes"],
+])
+def test_nonpositive_level_is_usage_error(argv, level, capsys):
+    code, _, err = run(capsys, *(a.format(level=level) for a in argv))
+    assert code == 3
+    assert "positive integer" in err
+
+
+def test_flags_only_where_read(tmp_path, capsys):
+    cert = tmp_path / "expand.json"
+    code, _, _ = run(capsys, "expand", "[1,1]", "--json", str(cert))
+    assert code == 3
+    assert not cert.exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from etaprover import parse_program, prove_identity
 from etaprover.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -63,3 +64,10 @@ def test_orders_stdout_bytes(name, capsys):
     assert main(ORDER_TABLES[name]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_library_certificate_matches_cli():
+    text = RAMANUJAN.read_text()
+    report = prove_identity(parse_program(text).combo, 6)
+    cert = report.to_json("prove", text, 10)
+    assert cert.encode("utf-8") == (GOLDEN / "prove_pq_level6.json").read_bytes()

@@ -248,3 +248,5 @@ def test_u5_of_recognized_images_dominates_bounds():
             assert gamma0_cusp_order(image, 10, c) >= bound
         report = prove_up_identity(ep, 5, EtaCombo.from_product(image), 10)
         assert report.verdict is Verdict.PROVED
+        assert report.up_bounds == tuple(up_order_lower_bound(ep, c, 10, 5)
+                                         for c in report.cusps)

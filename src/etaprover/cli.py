@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
@@ -123,20 +122,19 @@ def _cmd_prove(args) -> int:
 
 def _cmd_expand(args) -> int:
     combo = parse_expression(args.expr)
-    depth = Fraction(args.depth)
     if args.no_prefactor:
         product = _single_product(combo, "--no-prefactor")
-        print(product.expand_no_prefactor(depth))
+        print(product.expand_no_prefactor(args.depth))
     else:
-        print(combo.expand(depth))
+        print(combo.expand(args.depth))
     return 0
 
 
 def _cmd_factor(args) -> int:
     combo = parse_expression(args.expr)
-    series = combo.expand(Fraction(args.depth))
+    series = combo.expand(args.depth)
     try:
-        ep = eta_factorize(series, Fraction(args.depth))
+        ep = eta_factorize(series, args.depth)
     except NotAnEtaProductError as exc:
         print(f"not an eta-product: {exc}", file=sys.stderr)
         return 2
@@ -198,16 +196,16 @@ def _cmd_formcheck(args) -> int:
     return 0
 
 
-def _level(text: str) -> int:
-    """argparse type of a level argument: a positive integer."""
+def _positive(text: str) -> int:
+    """argparse type of a level, margin or depth: a positive integer."""
     try:
-        level = int(text)
+        value = int(text)
     except ValueError:
-        level = 0
-    if level < 1:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(
-            f"level must be a positive integer, got {text!r}")
-    return level
+            f"must be a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print only the final verdict or value")
     proof = _ArgumentParser(add_help=False, parents=[quiet])
     proof.add_argument("file")
-    proof.add_argument("--level", type=_level, required=True)
-    proof.add_argument("--margin", type=int, default=10)
+    proof.add_argument("--level", type=_positive, required=True)
+    proof.add_argument("--margin", type=_positive, default=10)
     proof.add_argument("--yes", action="store_true",
                        help="carry out the verification (otherwise bound only)")
     proof.add_argument("--json", metavar="PATH", default=None,
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand",
                        help="q-expansion of an eta-product expression")
     p.add_argument("expr")
-    p.add_argument("--depth", type=int, default=50)
+    p.add_argument("--depth", type=_positive, default=50)
     p.add_argument("--no-prefactor", action="store_true",
                    help="omit the fractional q^(t/24) prefactors")
     p.set_defaults(func=_cmd_expand)
@@ -248,29 +246,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", parents=[quiet],
                        help="recognize an expression's expansion as an eta-product")
     p.add_argument("expr")
-    p.add_argument("--depth", type=int, default=60)
+    p.add_argument("--depth", type=_positive, default=60)
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("cusps", help="inequivalent cusps of Gamma0(N)")
-    p.add_argument("level", type=_level)
+    p.add_argument("level", type=_positive)
     p.set_defaults(func=_cmd_cusps)
 
     p = sub.add_parser("orders",
                        help="per-cusp order table of a product or identity")
     p.add_argument("expr")
-    p.add_argument("level", type=_level)
+    p.add_argument("level", type=_positive)
     p.set_defaults(func=_cmd_orders)
 
     p = sub.add_parser("check", help="Newman modular-function check")
     p.add_argument("expr")
-    p.add_argument("level", type=_level)
+    p.add_argument("level", type=_positive)
     p.add_argument("--verbose", action="store_true",
                    help="report each condition separately")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("formcheck", help="modular-form-with-character check")
     p.add_argument("expr")
-    p.add_argument("level", type=_level)
+    p.add_argument("level", type=_positive)
     p.set_defaults(func=_cmd_formcheck)
     return top
 

@@ -10,10 +10,12 @@ combination of eta-products plus an explicit rational constant.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, lcm
+from operator import mul
 from typing import Iterable, Union
 
 from .errors import NotAnEtaProductError
-from .qseries import QSeries, euler_product, _lattice24
+from .qseries import QSeries, _euler_sweep, _lattice24
 
 __all__ = ["EtaProduct", "EtaCombo", "eta_factorize"]
 
@@ -119,33 +121,24 @@ class EtaProduct:
 
     # -- expansion ---------------------------------------------------------
 
-    def _unit_expansion(self, rel_depth: Fraction) -> QSeries:
-        """Product of the Euler parts, without the q^(t/24) prefactors."""
-        parts = [euler_product(t, rel_depth) ** r for t, r in self._factors]
-        parts.sort(key=len)
-        acc = QSeries.one().truncated(rel_depth)
-        for p in parts:
-            acc = acc * p
-        return acc
+    def _expand24(self, d24: int, s24: int) -> QSeries:
+        """Expansion below q^(d24/24), with q^(s24/24) for the prefactors."""
+        size = max(0, -(-(d24 - s24) // 24))
+        a = [1] + [0] * (size - 1) if size else []
+        for t, r in self._factors:
+            _euler_sweep(a, t, r)
+        return QSeries._from24({s24 + 24 * n: c for n, c in enumerate(a)}, d24)
 
     def expand(self, depth) -> QSeries:
         """q-expansion including the fractional prefactor q^(sum t*r/24)."""
-        d24 = _lattice24(depth)
-        s24 = self.degree24
-        rel = d24 - s24
-        if rel <= 0:
-            return QSeries.zero(Fraction(d24, 24))
-        return self._unit_expansion(Fraction(rel, 24)).shifted(Fraction(s24, 24))
+        return self._expand24(_lattice24(depth), self.degree24)
 
     def expand_no_prefactor(self, depth) -> QSeries:
         """q-expansion with every factor's q^(t/24) prefactor omitted.
 
         The result always has integer exponents.
         """
-        d24 = _lattice24(depth)
-        if d24 <= 0:
-            return QSeries.zero(Fraction(d24, 24))
-        return self._unit_expansion(Fraction(d24, 24))
+        return self._expand24(_lattice24(depth), 0)
 
 
 class EtaCombo:
@@ -276,11 +269,18 @@ class EtaCombo:
         return out
 
     def expand(self, depth) -> QSeries:
-        """q-expansion: constant + sum of coefficient * product expansions."""
-        acc = QSeries.constant(self._constant).truncated(depth)
+        """q-expansion: constant + sum of coefficient * product expansions,
+        added in integers over one common denominator."""
+        c = self._constant
+        den = lcm(c.denominator, *(a.denominator for a, _ in self._terms))
+        acc = {0: c.numerator * (den // c.denominator)}
         for a, f in self._terms:
-            acc = acc + f.expand(depth) * a
-        return acc
+            k = a.numerator * (den // a.denominator)
+            s = f.expand(depth)
+            for e, v in zip(s._e, s._c):
+                acc[e] = acc.get(e, 0) + k * v
+        return QSeries._from24({e: v // den if v % den == 0 else Fraction(v, den)
+                                for e, v in acc.items()}, _lattice24(depth))
 
     def __str__(self) -> str:
         parts = []
@@ -309,6 +309,12 @@ def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
     the available relative depth; anything left beyond that bound, a
     non-integer step coefficient, or a leading power inconsistent with the
     recovered factors raises :class:`NotAnEtaProductError`.
+
+    The stripping runs on b = q*u'/u for the residual u = 1 + c*q^n + ...,
+    where b starts with n*c*q^n.  Multiplying u by prod_m (1 - q^(n*m))^c
+    subtracts c*d from b at every multiple of each d in n, 2n, ..., so a step
+    costs about len/n however large c is; c grows exponentially in n when f
+    is not an eta-product.
     """
     if depth is None:
         if f.trunc is None:
@@ -323,22 +329,23 @@ def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
     e0 = lt.exponent
     rel_depth = Fraction(depth) - e0
     u = f.shifted(-e0).truncated(rel_depth)
-    for e, _ in u.terms():
+    confidence = int(rel_depth) // 2
+    size = max(0, ceil(u.trunc))
+    a = [0] * size  # u as a dense list
+    for e, c in u.terms():
         if e.denominator != 1:
             raise NotAnEtaProductError(
                 f"residual exponent q^{e} off the integer lattice")
-    confidence = int(rel_depth) // 2
+        a[int(e)] = c
+    b = [0] * size  # from n*a[n] = sum_{k=1..n} b[k]*a[n-k]
+    for n in range(1, size):
+        b[n] = n * a[n] - sum(map(mul, b, a[n::-1]))
     factors: list[tuple[int, int]] = []
-    while True:
-        step = None
-        for e, c in u.terms():
-            if e != 0:
-                step = (int(e), c)
-                break
-        if step is None:
-            break
-        n, c = step
-        if isinstance(c, Fraction):
+    for n in range(1, size):
+        if not b[n]:
+            continue
+        c = Fraction(b[n], n)
+        if c.denominator != 1:
             raise NotAnEtaProductError(
                 f"non-integer coefficient {c} at q^{n}")
         if n > confidence:
@@ -346,8 +353,10 @@ def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
             raise NotAnEtaProductError(
                 f"unexplained term at q^{n} beyond the confidence bound "
                 f"q^{confidence}; confirmed factors so far: {found}")
-        factors.append((n, -c))
-        u = u * (euler_product(n, rel_depth) ** c)
+        factors.append((n, -c.numerator))
+        for d in range(n, size, n):
+            for m in range(d, size, d):
+                b[m] -= c.numerator * d
     ep = EtaProduct(factors)
     if ep.leading_exponent != e0:
         raise NotAnEtaProductError(

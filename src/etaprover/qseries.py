@@ -18,7 +18,7 @@ shrinks it rather than ever emitting an unreliable coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (
@@ -442,6 +442,47 @@ class QSeries:
         return f"QSeries([{head}], trunc={self.trunc})"
 
 
+def _pentagonal(limit: int) -> list[tuple[int, int]]:
+    """(n, c) for each nonzero coefficient c of q^n, n < limit, ascending, in
+    prod_{n>=1} (1 - q^n) = sum_k (-1)^k q^(k(3k-1)/2) over all integers k
+    (Euler's pentagonal number theorem)."""
+    m = isqrt(max(limit, 0))
+    return sorted((k * (3 * k - 1) // 2, -1 if k % 2 else 1)
+                  for k in range(-m, m + 1) if k * (3 * k - 1) < 2 * limit)
+
+
+def _jacobi_cube(limit: int) -> list[tuple[int, int]]:
+    """As :func:`_pentagonal` for prod_{n>=1} (1 - q^n)^3 =
+    sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2) (Jacobi)."""
+    return [(k * (k + 1) // 2, -(2 * k + 1) if k % 2 else 2 * k + 1)
+            for k in range(isqrt(2 * max(limit, 0)) + 1)
+            if k * (k + 1) < 2 * limit]
+
+
+def _euler_sweep(a: list, t: int, r: int) -> None:
+    """Multiply the dense series ``a`` (a[n] is the coefficient of q^n) in
+    place by prod_{n>=1} (1 - q^(t*n))^r, truncated at its length: one sweep
+    with Jacobi's cube per full three of |r|, one with the pentagonal series
+    per unit left.  A product sweeps down the list and a quotient up it, so
+    each read sees the old value or the finished quotient as needed."""
+    if len(a) <= t:
+        return
+    limit = -(-len(a) // t)
+    order = range(len(a) - 1, t - 1, -1) if r > 0 else range(t, len(a))
+    cubes, ones = divmod(abs(r), 3)
+    for series, count in ((_jacobi_cube(limit), cubes),
+                          (_pentagonal(limit), ones)):
+        terms = [(t * n, c if r > 0 else -c) for n, c in series[1:]]
+        for _ in range(count):
+            for n in order:
+                s = 0
+                for e, c in terms:
+                    if e > n:
+                        break
+                    s += c * a[n - e]
+                a[n] += s
+
+
 def euler_product(t: int, depth: Exponent) -> QSeries:
     """The product prod_{n>=1} (1 - q^(t*n)) expanded below ``depth``.
 
@@ -451,24 +492,8 @@ def euler_product(t: int, depth: Exponent) -> QSeries:
     if not isinstance(t, int) or t < 1:
         raise ValueError("multiplier must be a positive integer")
     t24 = _lattice24(depth)
-    acc = {}
-    if t24 > 0:
-        acc[0] = 1
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        e1 = 24 * t * g1
-        e2 = 24 * t * g2
-        if e1 >= t24 and e2 >= t24:
-            break
-        s = -1 if k % 2 else 1
-        if e1 < t24:
-            acc[e1] = s
-        if e2 < t24:
-            acc[e2] = s
-        k += 1
-    return QSeries._from24(acc, t24)
+    return QSeries._from24(
+        {24 * t * n: c for n, c in _pentagonal(-(-t24 // (24 * t)))}, t24)
 
 
 def eta_series(t: int, depth: Exponent) -> QSeries:

@@ -236,6 +236,26 @@ def test_nonpositive_level_is_usage_error(argv, level, capsys):
     assert "positive integer" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "x"])
+@pytest.mark.parametrize("argv", [
+    ["prove", str(RAMANUJAN), "--level", "6", "--margin", "{value}", "--yes",
+     "--json", "{cert}"],
+    ["prove-up", str(U5FILE), "--level", "20", "--margin", "{value}", "--yes",
+     "--json", "{cert}"],
+    ["expand", "[1,1]", "--depth", "{value}"],
+    ["factor", "[1,1]", "--depth", "{value}"],
+])
+def test_nonpositive_margin_and_depth_are_usage_errors(argv, value, tmp_path,
+                                                       capsys):
+    cert = tmp_path / "cert.json"
+    code, out, err = run(capsys, *(a.format(value=value, cert=cert)
+                                   for a in argv))
+    assert code == 3
+    assert "positive integer" in err
+    assert out == ""
+    assert not cert.exists()
+
+
 def test_flags_only_where_read(tmp_path, capsys):
     cert = tmp_path / "expand.json"
     code, _, _ = run(capsys, "expand", "[1,1]", "--json", str(cert))

@@ -1,0 +1,296 @@
+"""The sparse Euler-product kernel against two independent engines.
+
+Every eta-product expansion now runs through ``qseries._euler_sweep``.  Here
+it is compared with the brute-force oracle, which multiplies literal
+binomials, and with the dense QSeries multiply/power path that the library
+used before, which these tests keep as a second engine.  Factorization is
+compared with the old greedy stripping done by that same path, down to the
+text of every error.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from etaprover import EtaCombo, EtaProduct, QSeries, eta_factorize, euler_product
+from etaprover.errors import NotAnEtaProductError
+from etaprover.qseries import _euler_sweep, _jacobi_cube, _pentagonal
+
+from oracles import eta_quotient_brute, euler_brute, pdiv, pmul, ppow
+
+F = Fraction
+
+settings.register_profile("kernel", max_examples=60, deadline=None,
+                          database=None)
+settings.load_profile("kernel")
+
+
+# -- the second engine: the QSeries multiply/power path ---------------------------
+
+
+def chain_expand(ep: EtaProduct, depth, prefactor: bool = True) -> QSeries:
+    """prod euler_product(t, rel)**r, shifted by the prefactor when asked."""
+    depth = F(depth)
+    shift = ep.leading_exponent if prefactor else F(0)
+    rel = depth - shift
+    if rel <= 0:
+        return QSeries.zero(depth)
+    acc = QSeries.one().truncated(rel)
+    for t, r in ep.factors:
+        acc = acc * euler_product(t, rel) ** r
+    return acc.shifted(shift)
+
+
+def chain_combo(combo: EtaCombo, depth) -> QSeries:
+    acc = QSeries.constant(combo.constant).truncated(depth)
+    for a, f in combo.terms:
+        acc = acc + chain_expand(f, depth) * a
+    return acc
+
+
+def strip_factorize(f: QSeries, depth=None) -> EtaProduct:
+    """Greedy stripping that divides each factor out as u * E(n)**c."""
+    if depth is None:
+        depth = f.trunc
+    lt = f.leading_term()
+    if lt is None:
+        raise NotAnEtaProductError("series is zero up to its truncation")
+    if lt.coefficient != 1:
+        raise NotAnEtaProductError(
+            f"leading coefficient is {lt.coefficient}, not 1")
+    e0 = lt.exponent
+    rel_depth = F(depth) - e0
+    u = f.shifted(-e0).truncated(rel_depth)
+    for e, _ in u.terms():
+        if e.denominator != 1:
+            raise NotAnEtaProductError(
+                f"residual exponent q^{e} off the integer lattice")
+    confidence = int(rel_depth) // 2
+    factors = []
+    while True:
+        step = next(((int(e), c) for e, c in u.terms() if e != 0), None)
+        if step is None:
+            break
+        n, c = step
+        if isinstance(c, Fraction):
+            raise NotAnEtaProductError(f"non-integer coefficient {c} at q^{n}")
+        if n > confidence:
+            raise NotAnEtaProductError(
+                f"unexplained term at q^{n} beyond the confidence bound "
+                f"q^{confidence}; confirmed factors so far: {EtaProduct(factors)}")
+        factors.append((n, -c))
+        u = u * (euler_product(n, rel_depth) ** c)
+    ep = EtaProduct(factors)
+    if ep.leading_exponent != e0:
+        raise NotAnEtaProductError(
+            f"leading power q^{e0} does not match the factored prefactor "
+            f"q^{ep.leading_exponent}")
+    return ep
+
+
+def same(a: QSeries, b: QSeries) -> bool:
+    """Equal exponents, coefficients (and their types) and truncation."""
+    return (a._e, a._c, a._t) == (b._e, b._c, b._t) and \
+        [type(c) for c in a._c] == [type(c) for c in b._c]
+
+
+def outcome(fn, *args) -> str:
+    try:
+        return str(fn(*args))
+    except NotAnEtaProductError as exc:
+        return f"error: {exc}"
+
+
+# -- the sweep itself against the brute oracle --------------------------------------
+
+
+@pytest.mark.parametrize("limit", [-1, 0, 1, 2, 3, 7, 8, 60, 121])
+def test_sparse_series_are_euler_and_jacobi(limit):
+    depth = max(limit, 0)
+    euler = euler_brute(1, depth) if depth else {}
+    assert dict(_pentagonal(limit)) == euler
+    assert dict(_jacobi_cube(limit)) == (ppow(euler, 3, depth) if depth else {})
+
+
+@pytest.mark.parametrize("t", [1, 2, 5])
+@pytest.mark.parametrize("r", [-7, -6, -4, -3, -1, 1, 2, 3, 5, 6])
+def test_sweep_matches_brute_on_arbitrary_series(t, r):
+    depth = 40
+    a = [(7 * n * n - 3 * n + 1) % 11 - 5 for n in range(depth)]
+    power = ppow(euler_brute(t, depth), abs(r), depth)
+    dense = {n: c for n, c in enumerate(a) if c}
+    want = pmul(dense, power, depth) if r > 0 else pdiv(dense, power, depth)
+    _euler_sweep(a, t, r)
+    assert {n: c for n, c in enumerate(a) if c} == want
+
+
+def test_sweep_keeps_rational_coefficients_exact():
+    a = [F(1), F(1, 2), F(-2, 3), F(0), F(5, 7)] + [F(0)] * 15
+    b = list(a)
+    _euler_sweep(b, 2, -4)
+    _euler_sweep(b, 2, 4)
+    assert b == a
+
+
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=30),
+       st.integers(1, 6), st.integers(-8, 8))
+def test_sweep_property_matches_brute(a, t, r):
+    depth = len(a)
+    power = ppow(euler_brute(t, depth), abs(r), depth)
+    dense = {n: c for n, c in enumerate(a) if c}
+    want = pmul(dense, power, depth) if r >= 0 else pdiv(dense, power, depth)
+    _euler_sweep(a, t, r)
+    assert {n: c for n, c in enumerate(a) if c} == want
+
+
+# -- products: kernel, brute oracle and the multiply/power path ----------------------
+
+PRODUCTS = [[], [1, -1], [1, 1], [1, 3], [1, -3], [1, -6], [3, 7],
+            [2, 4, 1, -2], [5, 6, 1, -6], [50, -1, 25, 1, 2, 1, 1, -1],
+            [1, -25], [7, -4, 1, 4]]
+DEPTHS = [F(-3), F(0), F(1, 24), F(7, 3), F(5, 8), F(30), F(61, 2)]
+
+
+@pytest.mark.parametrize("flat", PRODUCTS)
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_expand_matches_multiply_power_path(flat, depth):
+    ep = EtaProduct.from_flat(flat)
+    assert same(ep.expand(depth), chain_expand(ep, depth))
+    assert same(ep.expand_no_prefactor(depth),
+                chain_expand(ep, depth, prefactor=False))
+
+
+@pytest.mark.parametrize("flat", PRODUCTS)
+def test_expand_matches_brute_oracle(flat):
+    ep = EtaProduct.from_flat(flat)
+    for depth in (1, 17, 45):
+        got = ep.expand_no_prefactor(depth)
+        assert {int(e): c for e, c in got.terms()} == \
+            eta_quotient_brute(ep.factors, depth)
+        assert got.trunc == depth
+
+
+def test_huge_exponent_past_the_depth_costs_nothing():
+    # one sweep per three units of |r| would take minutes here
+    assert same(EtaProduct([(1, 10 ** 9)]).expand(50), QSeries.zero(50))
+    assert same(EtaProduct([(60, -10 ** 9), (61, 10 ** 9)])
+                .expand_no_prefactor(2), QSeries([(0, 1)], trunc=2))
+
+
+def test_empty_product_expansion():
+    assert same(EtaProduct().expand(F(5, 2)), QSeries([(0, 1)], trunc=F(5, 2)))
+    assert same(EtaProduct().expand(0), QSeries.zero(0))
+    assert same(EtaProduct().expand(-1), QSeries.zero(-1))
+
+
+COMBOS = [
+    EtaCombo(F(-3, 2), [(F(2, 3), EtaProduct.from_flat([1, -1])),
+                        (F(5, 6), EtaProduct.from_flat([2, 3, 1, -2]))]),
+    EtaCombo(1, [(9, EtaProduct.from_flat([6, 4, 3, 4, 2, -4, 1, -4])),
+                 (-1, EtaProduct.from_flat([6, -4, 3, 8, 2, 4, 1, -8])),
+                 (-1, EtaProduct.from_flat([6, 8, 3, -4, 2, -8, 1, 4]))]),
+    EtaCombo(F(1, 7), [(F(-1, 7), EtaProduct.from_flat([24, 1, 1, -1])),
+                       (F(3, 5), EtaProduct.from_flat([2, 1]))]),
+    EtaCombo(F(4, 3)),
+    EtaCombo(0),
+]
+
+
+@pytest.mark.parametrize("combo", COMBOS, ids=str)
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_combo_expand_matches_multiply_power_path(combo, depth):
+    assert same(combo.expand(depth), chain_combo(combo, depth))
+
+
+factor_lists = st.lists(st.tuples(st.integers(1, 12), st.integers(-9, 9)),
+                        max_size=4)
+lattice_depths = st.builds(F, st.integers(-48, 960), st.just(24))
+
+
+@given(factor_lists, lattice_depths)
+def test_expand_property_equals_euler_powers(factors, depth):
+    ep = EtaProduct(factors)
+    assert same(ep.expand(depth), chain_expand(ep, depth))
+
+
+@given(factor_lists, factor_lists, st.builds(F, st.integers(1, 960), st.just(24)))
+def test_expand_property_is_multiplicative(fs, gs, depth):
+    # nonnegative leading exponents, so that f.expand(d) * g.expand(d) is
+    # known below q^d
+    f, g = (p if p.degree24 >= 0 else p ** -1
+            for p in (EtaProduct(fs), EtaProduct(gs)))
+    assert (f * g).expand(depth) == \
+        (f.expand(depth) * g.expand(depth)).truncated(depth)
+
+
+@given(factor_lists,
+       st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 6)), max_size=3),
+       st.integers(-9, 9), lattice_depths)
+def test_combo_property_matches_multiply_power_path(fs, coeffs, const, depth):
+    base = EtaProduct(fs)
+    terms = [(F(a, b), base ** (i + 1)) for i, (a, b) in enumerate(coeffs)]
+    combo = EtaCombo(F(const, 4), terms)
+    assert same(combo.expand(depth), chain_combo(combo, depth))
+
+
+# -- factorization ---------------------------------------------------------------------
+
+NOT_ETA = {
+    "half": (QSeries([(0, 1), (1, F(1, 2))], trunc=20),
+             "non-integer coefficient 1/2 at q^1"),
+    "third after a step": (
+        EtaProduct.from_flat([1, 1]).expand_no_prefactor(20)
+        + QSeries.monomial(F(1, 3), 5),
+        "non-integer coefficient 1/3 at q^5"),
+    "off lattice": (QSeries([(0, 1), (F(1, 2), 1)], trunc=10),
+                    "residual exponent q^1/2 off the integer lattice"),
+    "geometric": (
+        QSeries([(F(n), 1) for n in range(40)], trunc=40),
+        "unexplained term at q^21 beyond the confidence bound q^20; "
+        "confirmed factors so far: "
+        "[19,1,17,1,15,-1,14,-1,13,1,11,1,10,-1,7,1,6,-1,5,1,3,1,2,1,1,-1]"),
+    # step exponents grow like 7^n/n: the stripping must not cost |c| each
+    "sum of two products": (
+        EtaCombo(0, [(1, EtaProduct.from_flat([24, 1])),
+                     (7, EtaProduct.from_flat([48, 1]))]).expand(60),
+        "unexplained term at q^30 beyond the confidence bound q^29; "
+        "confirmed factors so far: [29,-111031232959075163011200,"
+        "28,16428090590810903220017,27,-2433791198649411805015,"
+        "26,361056936074554666814,25,-53642744786558592007,"
+        "24,7982551305792489889,23,-1189945536525257225,"
+        "22,177719138841589429,21,-26597422099047015,20,3989613272506960,"
+        "19,-599941851861737,18,90467428805376,17,-13684147881593,"
+        "16,2077057080000,15,-316504096055,14,48444681637,13,-7453000793,"
+        "12,1153410384,11,-179756969,10,28252525,9,-4483584,8,719712,"
+        "7,-117641,6,19733,5,-3353,4,560,3,-105,2,35,1,-7]"),
+    "shifted": (EtaProduct.from_flat([2, 2, 1, -1]).expand(60).shifted(2),
+                "leading power q^17/8 does not match the factored prefactor "
+                "q^1/8"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_ETA)
+def test_factorize_errors_are_unchanged(name):
+    series, message = NOT_ETA[name]
+    assert outcome(eta_factorize, series) == f"error: {message}"
+    assert outcome(strip_factorize, series) == f"error: {message}"
+
+
+@given(factor_lists, st.integers(1, 480))
+def test_factorize_property_round_trip(factors, extra):
+    ep = EtaProduct(factors)
+    top = max((t for t, _ in ep.factors), default=1)
+    depth = ep.leading_exponent + 2 * top + F(extra, 24)
+    assert eta_factorize(ep.expand(depth), depth) == ep
+
+
+@given(st.lists(st.tuples(st.integers(1, 30), st.integers(-4, 4),
+                          st.sampled_from([1, 1, 2, 3])), max_size=5),
+       st.integers(1, 30), st.sampled_from([None, -3, 0, 1, 2]))
+def test_factorize_property_matches_stripping(terms, trunc, slack):
+    series = QSeries([(0, 1)] + [(F(e), F(c, d)) for e, c, d in terms
+                                 if e < trunc], trunc=trunc)
+    depth = None if slack is None else trunc + slack
+    assert outcome(eta_factorize, series, depth) == \
+        outcome(strip_factorize, series, depth)

@@ -23,10 +23,9 @@ from .errors import (
     LoweringError,
     NotAFormError,
     NotAnEtaProductError,
-    ParseError,
     PreconditionError,
 )
-from .etaproducts import EtaCombo, EtaProduct, eta_factorize
+from .etaproducts import EtaProduct, eta_factorize
 from .modularity import modular_function_check, modular_form_check
 from .parser import UpIdentity, parse_expression, parse_program
 from .prover import (
@@ -67,10 +66,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _single_product(combo: EtaCombo, what: str) -> EtaProduct:
-    if combo.constant == 0 and len(combo.terms) == 1 and combo.terms[0][0] == 1:
-        return combo.terms[0][1]
-    raise LoweringError(f"{what} needs a plain eta-product expression", 1, 1)
+def _single_product(expr: str, what: str) -> EtaProduct:
+    product = parse_expression(expr).as_product()
+    if product is None:
+        raise LoweringError(f"{what} needs a plain eta-product expression", 1, 1)
+    return product
 
 
 def _print_report(report: ProofReport, quiet: bool) -> None:
@@ -121,12 +121,11 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    combo = parse_expression(args.expr)
     if args.no_prefactor:
-        product = _single_product(combo, "--no-prefactor")
+        product = _single_product(args.expr, "--no-prefactor")
         print(product.expand_no_prefactor(args.depth))
     else:
-        print(combo.expand(args.depth))
+        print(parse_expression(args.expr).expand(args.depth))
     return 0
 
 
@@ -152,7 +151,7 @@ def _cmd_cusps(args) -> int:
 def _cmd_orders(args) -> int:
     combo = parse_expression(args.expr)
     level = args.level
-    if combo.constant == 0 and len(combo.terms) == 1 and combo.terms[0][0] == 1:
+    if combo.as_product() is not None:
         report = order_table(level, combo.terms,
                              *cusp_order_rows(combo.terms, level))
         print(format_order_table(report))
@@ -167,7 +166,7 @@ def _cmd_orders(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    product = _single_product(parse_expression(args.expr), "check")
+    product = _single_product(args.expr, "check")
     verdict = modular_function_check(product, args.level)
     if args.verbose:
         for i, ok in enumerate(verdict.conditions, start=1):
@@ -181,7 +180,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_formcheck(args) -> int:
-    product = _single_product(parse_expression(args.expr), "formcheck")
+    product = _single_product(args.expr, "formcheck")
     try:
         verdict = modular_form_check(product, args.level)
     except NotAFormError as exc:
@@ -281,16 +280,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, LoweringError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except PreconditionError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 2
-    except EtaProverError as exc:
+    except (OSError, ValueError, EtaProverError) as exc:
+        # unreadable files, undecodable text, over-long integer literals
+        # and every input this package rejects: a usage error, never exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -49,19 +49,18 @@ class InternalInconsistencyError(EtaProverError, RuntimeError):
     """
 
 
-class ParseError(EtaProverError, ValueError):
+class _PositionedError(EtaProverError, ValueError):
+    """An error at a line and column of identity text."""
+
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(f"{message} (line {line}, column {column})")
+        self.line = line
+        self.column = column
+
+
+class ParseError(_PositionedError):
     """Identity text could not be tokenized or parsed."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
 
-
-class LoweringError(EtaProverError, ValueError):
+class LoweringError(_PositionedError):
     """A parsed expression does not denote a linear combination of eta-products."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column

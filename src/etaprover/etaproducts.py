@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, lcm
 from operator import mul
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .errors import NotAnEtaProductError
 from .qseries import QSeries, _euler_sweep, _lattice24
@@ -182,6 +182,13 @@ class EtaCombo:
     @classmethod
     def from_product(cls, product: EtaProduct, coefficient: Rat = 1) -> "EtaCombo":
         return cls(0, [(coefficient, product)])
+
+    def as_product(self) -> Optional[EtaProduct]:
+        """The single eta-product this is, with coefficient 1 and no
+        constant; None for any other combination."""
+        if self._constant == 0 and len(self._terms) == 1 and self._terms[0][0] == 1:
+            return self._terms[0][1]
+        return None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EtaCombo):

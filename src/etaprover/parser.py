@@ -10,9 +10,9 @@ The surface language:
   lists ``[t1,r1,t2,r2,...]``, bound names, parentheses and ``+ - * / ^``,
   with ``^`` taking an integer literal exponent.
 
-Expressions lower to :class:`EtaCombo` values.  Division is only defined by
-a constant or by a single eta-product monomial; anything else reports the
-offending subexpression with its source position.
+Expressions lower to :class:`EtaCombo` values as they are read.  Division
+is only defined by a constant or by a single eta-product monomial; anything
+else reports the offending subexpression with its source position.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ def _tokenize(text: str) -> list[_Token]:
         elif ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             start = i
             c0 = col
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
                 col += 1
             toks.append(_Token("int", text[start:i], line, c0))
@@ -78,56 +78,6 @@ def _tokenize(text: str) -> list[_Token]:
     return toks
 
 
-# -- AST ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Node:
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class IntLit(_Node):
-    value: int
-
-
-@dataclass(frozen=True)
-class NameRef(_Node):
-    ident: str
-
-
-@dataclass(frozen=True)
-class EtaAtom(_Node):
-    multiplier: int
-
-
-@dataclass(frozen=True)
-class BracketProduct(_Node):
-    flat: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Neg(_Node):
-    operand: "EtaExpr"
-
-
-@dataclass(frozen=True)
-class BinOp(_Node):
-    op: str  # + - * /
-    left: "EtaExpr"
-    right: "EtaExpr"
-
-
-@dataclass(frozen=True)
-class Pow(_Node):
-    base: "EtaExpr"
-    exponent: int
-
-
-EtaExpr = Union[IntLit, NameRef, EtaAtom, BracketProduct, Neg, BinOp, Pow]
-
-
 @dataclass(frozen=True)
 class LinearIdentity:
     """An assertion that ``combo`` vanishes identically."""
@@ -145,9 +95,15 @@ class UpIdentity:
 
 
 class _Parser:
+    """Recursive descent that lowers each construct to an :class:`EtaCombo`
+    as soon as it is read, so the leftmost error in the text is the one
+    reported.  ``env`` holds the values of the ``let`` bindings read so far.
+    """
+
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.env: dict[str, EtaCombo] = {}
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -164,179 +120,146 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {what!r}", t.line, t.col)
         return self.next()
 
-    # expr := ["+"|"-"] term {("+"|"-") term}
-    def expr(self) -> EtaExpr:
-        t = self.peek()
-        if t.kind in "+-":
+    def signed_int(self) -> int:
+        sign = 1
+        if self.peek().kind == "-":
             self.next()
-            node = self.term()
-            if t.kind == "-":
-                node = Neg(t.line, t.col, node)
-        else:
-            node = self.term()
+            sign = -1
+        return sign * int(self.expect("int").text)
+
+    # bindings := {"let" NAME "=" expr ";"}
+    def bindings(self) -> None:
+        while self.peek().kind == "name" and self.peek().text == "let":
+            self.next()
+            name = self.expect("name")
+            if name.text in _KEYWORDS:
+                raise ParseError(f"{name.text!r} is reserved", name.line, name.col)
+            self.expect("=")
+            value = self.expr()
+            self.expect(";")
+            self.env[name.text] = value
+
+    def last_expr(self) -> EtaCombo:
+        value = self.expr()
+        self.expect("eof")
+        return value
+
+    # expr := ["+"|"-"] term {("+"|"-") term}
+    def expr(self) -> EtaCombo:
+        sign = self.peek().kind
+        if sign in "+-":
+            self.next()
+        value = self.term()
+        if sign == "-":
+            value = -value
         while self.peek().kind in "+-":
             op = self.next()
             rhs = self.term()
-            node = BinOp(op.line, op.col, op.kind, node, rhs)
-        return node
+            value = value + rhs if op.kind == "+" else value - rhs
+        return value
 
     # term := factor {("*"|"/") factor}
-    def term(self) -> EtaExpr:
-        node = self.factor()
+    def term(self) -> EtaCombo:
+        value = self.factor()
         while self.peek().kind in "*/":
             op = self.next()
             rhs = self.factor()
-            node = BinOp(op.line, op.col, op.kind, node, rhs)
-        return node
+            if op.kind == "*":
+                value = value * rhs
+                continue
+            try:
+                value = value / rhs
+            except (ValueError, ZeroDivisionError) as exc:
+                raise LoweringError(f"cannot divide here: {exc}",
+                                    op.line, op.col) from exc
+        return value
 
     # factor := atom ["^" ["-"] INT]
-    def factor(self) -> EtaExpr:
-        node = self.atom()
+    def factor(self) -> EtaCombo:
+        value = self.atom()
         if self.peek().kind == "^":
             caret = self.next()
-            sign = 1
-            if self.peek().kind == "-":
-                self.next()
-                sign = -1
-            exp = self.expect("int")
-            node = Pow(caret.line, caret.col, node, sign * int(exp.text))
-        return node
+            exponent = self.signed_int()
+            try:
+                value = value ** exponent
+            except (ValueError, ZeroDivisionError) as exc:
+                raise LoweringError(
+                    f"cannot raise this expression to the power {exponent}: {exc}",
+                    caret.line, caret.col) from exc
+        return value
 
-    def atom(self) -> EtaExpr:
+    # atom := INT | "(" expr ")" | bracket | "eta" "(" INT ")" | NAME
+    def atom(self) -> EtaCombo:
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return IntLit(t.line, t.col, int(t.text))
+            return EtaCombo(int(t.text))
         if t.kind == "(":
             self.next()
-            node = self.expr()
+            value = self.expr()
             self.expect(")")
-            return node
+            return value
         if t.kind == "[":
             return self.bracket()
         if t.kind == "name":
             self.next()
             if t.text == "eta":
                 self.expect("(")
-                k = self.expect("int")
+                k = int(self.expect("int").text)
                 self.expect(")")
-                return EtaAtom(t.line, t.col, int(k.text))
+                if k < 1:
+                    raise LoweringError("eta multiplier must be a positive integer",
+                                        t.line, t.col)
+                return EtaCombo.from_product(EtaProduct([(k, 1)]))
             if t.text in _KEYWORDS:
                 raise ParseError(f"{t.text!r} cannot be used here", t.line, t.col)
-            return NameRef(t.line, t.col, t.text)
+            if t.text not in self.env:
+                raise LoweringError(f"unknown name {t.text!r}", t.line, t.col)
+            return self.env[t.text]
         what = t.text or "end of input"
         raise ParseError(f"expected an expression, found {what!r}", t.line, t.col)
 
-    def bracket(self) -> BracketProduct:
+    # bracket := "[" ["-"] INT {"," ["-"] INT} "]", an even number of entries
+    def bracket(self) -> EtaCombo:
         start = self.expect("[")
-        entries: list[int] = []
-        while True:
-            sign = 1
-            if self.peek().kind == "-":
-                self.next()
-                sign = -1
-            v = self.expect("int")
-            entries.append(sign * int(v.text))
-            if self.peek().kind == ",":
-                self.next()
-                continue
-            break
+        entries = [self.signed_int()]
+        while self.peek().kind == ",":
+            self.next()
+            entries.append(self.signed_int())
         self.expect("]")
         if len(entries) % 2:
             raise ParseError("bracket list needs an even number of entries",
                              start.line, start.col)
-        return BracketProduct(start.line, start.col, tuple(entries))
-
-
-def _lower(node: EtaExpr, env: dict[str, EtaCombo]) -> EtaCombo:
-    if isinstance(node, IntLit):
-        return EtaCombo(node.value)
-    if isinstance(node, NameRef):
-        if node.ident not in env:
-            raise LoweringError(f"unknown name {node.ident!r}", node.line, node.col)
-        return env[node.ident]
-    if isinstance(node, EtaAtom):
-        if node.multiplier < 1:
-            raise LoweringError("eta multiplier must be a positive integer",
-                                node.line, node.col)
-        return EtaCombo.from_product(EtaProduct([(node.multiplier, 1)]))
-    if isinstance(node, BracketProduct):
         try:
-            return EtaCombo.from_product(EtaProduct.from_flat(node.flat))
+            return EtaCombo.from_product(EtaProduct.from_flat(entries))
         except ValueError as exc:
-            raise LoweringError(str(exc), node.line, node.col) from exc
-    if isinstance(node, Neg):
-        return -_lower(node.operand, env)
-    if isinstance(node, Pow):
-        base = _lower(node.base, env)
-        try:
-            return base ** node.exponent
-        except (ValueError, ZeroDivisionError) as exc:
-            raise LoweringError(
-                f"cannot raise this expression to the power {node.exponent}: {exc}",
-                node.line, node.col) from exc
-    if isinstance(node, BinOp):
-        left = _lower(node.left, env)
-        right = _lower(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        try:
-            return left / right
-        except (ValueError, ZeroDivisionError) as exc:
-            raise LoweringError(f"cannot divide here: {exc}",
-                                node.line, node.col) from exc
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _parse_bindings(parser: _Parser) -> dict[str, EtaCombo]:
-    env: dict[str, EtaCombo] = {}
-    while (parser.peek().kind == "name" and parser.peek().text == "let"):
-        parser.next()
-        name = parser.expect("name")
-        if name.text in _KEYWORDS:
-            raise ParseError(f"{name.text!r} is reserved", name.line, name.col)
-        parser.expect("=")
-        value = parser.expr()
-        parser.expect(";")
-        env[name.text] = _lower(value, env)
-    return env
+            raise LoweringError(str(exc), start.line, start.col) from exc
 
 
 def parse_program(text: str) -> Union[LinearIdentity, UpIdentity]:
     """Parse an identity file: bindings plus one final identity statement."""
     parser = _Parser(text)
-    env = _parse_bindings(parser)
+    parser.bindings()
     t = parser.peek()
     if t.kind == "name" and t.text == "U":
         parser.next()
         parser.expect("(")
         p_tok = parser.expect("int")
         parser.expect(")")
-        lhs_node = parser.expr()
-        parser.expect("=")
-        rhs_node = parser.expr()
-        parser.expect("eof")
-        lhs = _lower(lhs_node, env)
-        if lhs.constant != 0 or len(lhs.terms) != 1 or lhs.terms[0][0] != 1:
+        arg = parser.peek()
+        product = parser.expr().as_product()
+        if product is None:
             raise LoweringError(
                 "the U(p) argument must be a plain eta-product with coefficient 1",
-                lhs_node.line, lhs_node.col)
-        rhs = _lower(rhs_node, env)
-        return UpIdentity(p=int(p_tok.text), product=lhs.terms[0][1],
-                          rhs=rhs, source=text)
-    node = parser.expr()
-    parser.expect("eof")
-    return LinearIdentity(combo=_lower(node, env), source=text)
+                arg.line, arg.col)
+        parser.expect("=")
+        return UpIdentity(p=int(p_tok.text), product=product,
+                          rhs=parser.last_expr(), source=text)
+    return LinearIdentity(combo=parser.last_expr(), source=text)
 
 
 def parse_expression(text: str) -> EtaCombo:
     """Parse a single expression (bindings allowed) into an EtaCombo."""
     parser = _Parser(text)
-    env = _parse_bindings(parser)
-    node = parser.expr()
-    parser.expect("eof")
-    return _lower(node, env)
+    parser.bindings()
+    return parser.last_expr()

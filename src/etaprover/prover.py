@@ -213,6 +213,13 @@ def _not_applicable(level: int, reason: str, *, up_p=None) -> ProofReport:
         required_depth=0, checked_depth=-1, up_p=up_p, reason=reason)
 
 
+def _check_positive(**values) -> None:
+    """Raise ValueError unless every named value is a positive int."""
+    for name, value in values.items():
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be a positive integer")
+
+
 def _valence_proof(combo: EtaCombo, level: int,
                    vanishing: Callable[[int], QSeries], *, margin: int,
                    verify: bool, constants_warning: bool, up_row=None,
@@ -244,7 +251,7 @@ def _valence_proof(combo: EtaCombo, level: int,
     if not verify:
         return report
     required = report.required_depth
-    depth = max(required, 0) + max(margin, 1)
+    depth = max(required, 0) + margin
     report = replace(report, verdict=Verdict.PROVED, checked_depth=depth - 1)
     lead = vanishing(depth).leading_term()
     if lead is None:
@@ -271,10 +278,10 @@ def prove_identity(combo: EtaCombo, level: int, margin: int = 10,
     * ``BOUND_ONLY`` when ``verify`` is false: stop after computing B.
 
     ``margin`` extra coefficients beyond the required depth are expanded and
-    checked as a consistency safety net.
+    checked as a consistency safety net.  A level or margin that is not a
+    positive int raises ValueError.
     """
-    if not isinstance(level, int) or level < 1:
-        raise ValueError("level must be a positive integer")
+    _check_positive(level=level, margin=margin)
     if combo.constant == 0 and not combo.terms:
         return ProofReport(level=level, verdict=Verdict.PROVED,
                            bound=Fraction(0), required_depth=0,

@@ -18,7 +18,7 @@ from .cusps import cusp_set, gamma0_cusp_orders  # noqa: F401
 from .errors import PreconditionError
 from .etaproducts import EtaCombo, EtaProduct
 from .modularity import modular_function_check
-from .prover import ProofReport, _not_applicable, _valence_proof
+from .prover import ProofReport, _check_positive, _not_applicable, _valence_proof
 from .qseries import QSeries
 
 __all__ = ["up_series", "up_order_lower_bound", "prove_up_identity"]
@@ -87,10 +87,10 @@ def prove_up_identity(ep: EtaProduct, p: int, rhs: EtaCombo, level: int,
     the level.  The bound B sums, over the cusps of Gamma0(level) other than
     the infinite class, the minimum of the rhs term orders and the
     Gordon-Hughes lower bound for U_p(ep); the difference U_p(expansion) -
-    rhs expansion must then vanish through q^floor(-B).
+    rhs expansion must then vanish through q^floor(-B).  ``level`` and
+    ``margin`` are checked as in :func:`prove_identity`.
     """
-    if not isinstance(level, int) or level < 1:
-        raise ValueError("level must be a positive integer")
+    _check_positive(level=level, margin=margin)
     _check_p(p, level)
     check = modular_function_check(ep, p * level)
     if not check.invariant:

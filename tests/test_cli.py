@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, output shapes, certificates."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etaprover.cli import main
 
@@ -268,6 +271,38 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "{latin1}", "--level", "6", "--yes"],
+    ["expand", "eta(" + "1" * 5000 + ")"],
+    ["expand", "eta(\u00b2)"],
+], ids=["non-utf8-file", "5000-digit-literal", "superscript-digit"])
+def test_rejected_input_is_one_error_line_and_exit_3(argv, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.eta"
+    latin1.write_bytes("eta(1) - 1  # caf\u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, *(a.format(latin1=latin1) for a in argv))
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# Grammar tokens plus characters that are letters, digits of other scripts or
+# neither.  Literals are single digits and texts short, so no case multiplies
+# out a large power.
+_FUZZ_TOKENS = ["eta", "let", "U", "A", "B", "(", ")", "[", "]", ",", ";", "=",
+                "+", "-", "*", "/", "^", "#", "\n", "0", "1", "2", "3", "5",
+                "9", "\u00b2", "\u0663", "\u00bd", "\u00e9", "\u00a0", "."]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=14))
+def test_expand_fuzz_exits_0_2_or_3(tokens):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["expand", " ".join(tokens), "--depth", "3"])
+    assert code in (0, 2, 3)
+    assert (code == 0) == (err.getvalue() == "")
 
 
 def test_module_entry_point_runs():

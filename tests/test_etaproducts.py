@@ -146,6 +146,15 @@ def test_combo_drops_zero_terms():
     assert c.constant == 0
 
 
+def test_combo_as_product():
+    f = EtaProduct.from_flat([2, 1, 1, -1])
+    g = EtaProduct.from_flat([5, 1])
+    assert EtaCombo.from_product(f).as_product() == f
+    for combo in (EtaCombo.from_product(f, 2), EtaCombo.from_product(f) + 1,
+                  EtaCombo(0, [(1, f), (1, g)]), EtaCombo(1), EtaCombo(0)):
+        assert combo.as_product() is None
+
+
 def test_combo_expand_linearity():
     f = EtaProduct.from_flat([1, 1])
     two_minus_one = EtaCombo(0, [(2, f)]) - EtaCombo(0, [(1, f)])

@@ -82,6 +82,29 @@ def test_parse_up_argument_must_be_plain_product():
         parse_program("U(5) 2*[2,1,1,-1] = [1,1]")
 
 
+def test_up_argument_error_points_at_its_first_token():
+    with pytest.raises(LoweringError) as err:
+        parse_program("U(5) 2*[2,1,1,-1] = [1,1]")
+    assert (err.value.line, err.value.column) == (1, 6)
+    with pytest.raises(LoweringError) as err:
+        parse_program("U(5)\n  (eta(1) + 1) = 1")
+    assert (err.value.line, err.value.column) == (2, 3)
+
+
+def test_leftmost_error_is_reported():
+    # a lowering error before a syntax error in the same statement
+    for text, where in [("B + (", (1, 1)), ("let A = 1/0 A", (1, 10)),
+                        ("1 +\n(eta(1)+1)^-1 )", (2, 11)),
+                        ("U(5) 2*eta(1) = 1 1", (1, 6))]:
+        with pytest.raises(LoweringError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.column) == where, text
+    # a syntax error before a lowering error
+    with pytest.raises(ParseError) as err:
+        parse_program("( * B")
+    assert (err.value.line, err.value.column) == (1, 3)
+
+
 def test_syntax_error_has_position():
     with pytest.raises(ParseError) as err:
         parse_program("let A = ;\nA")
@@ -117,6 +140,15 @@ def test_positive_power_of_sum_is_expanded():
 def test_odd_bracket_length_rejected():
     with pytest.raises(ParseError):
         parse_expression("[1,2,3]")
+
+
+def test_integer_literals_are_decimal_digits():
+    # what int() accepts: other scripts' decimal digits, not superscripts
+    assert parse_expression("eta(\u0663)") == parse_expression("eta(3)")
+    with pytest.raises(ParseError) as err:
+        parse_expression("eta(\u00b2)")
+    assert (err.value.line, err.value.column) == (1, 5)
+    assert "unexpected character" in str(err.value)
 
 
 def test_bad_multiplier_rejected():

@@ -217,6 +217,14 @@ def test_stability_under_margin_increase():
     assert r2.checked_depth > r1.checked_depth
 
 
+@pytest.mark.parametrize("margin", [-5, 0, 2.5, "10"])
+def test_margin_must_be_a_positive_int(margin):
+    with pytest.raises(ValueError, match="margin must be a positive integer"):
+        prove_identity(entry31_combo(), 6, margin=margin)
+    with pytest.raises(ValueError, match="margin must be a positive integer"):
+        prove_identity(EtaCombo(0), 6, margin=margin, verify=False)
+
+
 def test_bound_permutation_invariant():
     rng = random.Random(29)
     combo = normalize_identity(entry31_combo())

@@ -180,6 +180,12 @@ def test_up_prover_preconditions():
         prove_up_identity(EP_g100, 4, u5_rhs(), 20)
 
 
+@pytest.mark.parametrize("margin", [-5, 0, 2.5])
+def test_up_margin_must_be_a_positive_int(margin):
+    with pytest.raises(ValueError, match="margin must be a positive integer"):
+        prove_up_identity(EP_g100, 5, u5_rhs(), 20, margin=margin)
+
+
 def test_up_prover_not_applicable_for_nonmodular_input():
     report = prove_up_identity(EtaProduct.from_flat([1, 1]), 5, u5_rhs(), 20)
     assert report.verdict is Verdict.NOT_APPLICABLE

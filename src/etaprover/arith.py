@@ -1,10 +1,10 @@
-"""Integer arithmetic shared by the modularity checks and the U_p bounds."""
+"""Integer helpers shared by the cusps, modularity checks and U_p bounds."""
 
 from __future__ import annotations
 
 from math import isqrt
 
-__all__ = ["prime_factors", "is_prime", "is_square", "nu"]
+__all__ = ["prime_factors", "divisors", "is_prime", "is_square", "nu"]
 
 
 def prime_factors(n: int) -> dict[int, int]:
@@ -19,6 +19,14 @@ def prime_factors(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, ascending."""
+    out = [1]
+    for p, k in prime_factors(n).items():
+        out = [d * p ** i for d in out for i in range(k + 1)]
+    return sorted(out)
 
 
 def is_prime(n: int) -> bool:

@@ -20,7 +20,6 @@ from .cusps import cusp_set
 from .cusps import gamma0_cusp_orders  # noqa: F401
 from .errors import (
     EtaProverError,
-    LoweringError,
     NotAFormError,
     NotAnEtaProductError,
     PreconditionError,
@@ -69,7 +68,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _single_product(expr: str, what: str) -> EtaProduct:
     product = parse_expression(expr).as_product()
     if product is None:
-        raise LoweringError(f"{what} needs a plain eta-product expression", 1, 1)
+        raise NotAnEtaProductError(
+            f"{what} needs a plain eta-product expression")
     return product
 
 
@@ -151,7 +151,10 @@ def _cmd_cusps(args) -> int:
 def _cmd_orders(args) -> int:
     combo = parse_expression(args.expr)
     level = args.level
-    if combo.as_product() is not None:
+    if not combo.terms:
+        raise NotAnEtaProductError("orders needs an eta-product term")
+    if combo.constant == 0 and len(combo.terms) == 1:
+        # one product times a scalar: the scalar does not change its orders
         report = order_table(level, combo.terms,
                              *cusp_order_rows(combo.terms, level))
         print(format_order_table(report))

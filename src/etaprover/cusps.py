@@ -4,7 +4,10 @@ Cusp representatives follow the Chua-Lang enumeration: for each divisor d of
 N the numerators x coprime to d are taken modulo e_d = gcd(d, N/d), smallest
 representative first, so the set for N = 40 comes out as
 0, 1/2, 1/4, 1/5, 1/8, 1/10, 1/20, 1/40.  The representative with denominator
-N is the class of the infinite cusp.
+N is the class of the infinite cusp.  The divisors come from the prime
+factorization of N, and each unit class y mod e_d is represented by the first
+of y, y + e_d, y + 2e_d, ... that is coprime to d, so the work grows with the
+number of cusps rather than with N.
 
 Orders of eta-products at cusps are computed by the Ligozat formula, and the
 width-normalized order multiplies in the Biagioli fan width N/gcd(N, c^2).
@@ -13,9 +16,10 @@ width-normalized order multiplies in the Biagioli fan width N/gcd(N, c^2).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
+from .arith import divisors
 from .etaproducts import EtaProduct
 
 __all__ = [
@@ -99,15 +103,17 @@ def cusp_set(level: int) -> list[Cusp]:
     if not isinstance(level, int) or level < 1:
         raise ValueError("level must be a positive integer")
     out: list[Cusp] = []
-    for d in range(1, level + 1):
-        if level % d:
-            continue
+    for d in divisors(level):
         e = gcd(d, level // d)
-        seen: set[int] = set()
-        for x in range(d):
-            if gcd(x, d) == 1 and x % e not in seen:
-                seen.add(x % e)
-                out.append(Cusp(x, d))
+        picks = []
+        for y in range(e):
+            if gcd(y, e) == 1:
+                # the least x = y (mod e) coprime to d
+                x = y
+                while gcd(x, d) != 1:
+                    x += e
+                picks.append(x)
+        out += (Cusp(x, d) for x in sorted(picks))
     return out
 
 
@@ -122,12 +128,14 @@ def cusp_order(ep: EtaProduct, cusp: Cusp) -> Fraction:
     """Invariant order of an eta-product at a cusp (Ligozat formula).
 
     Depends only on the reduced denominator c of the cusp:
-    sum over factors of gcd(t, c)^2 * r / (24 t).  At infinity this reduces
-    to the leading q-exponent sum(t*r)/24.
+    sum over factors of gcd(t, c)^2 * r / (24 t), added in integers over the
+    common denominator 24 lcm(t).  At infinity this reduces to the leading
+    q-exponent sum(t*r)/24.
     """
     c = cusp.c
-    return sum((Fraction(gcd(t, c) ** 2 * r, 24 * t) for t, r in ep.factors),
-               Fraction(0))
+    m = lcm(*(t for t, _ in ep.factors))
+    return Fraction(sum(gcd(t, c) ** 2 * r * (m // t) for t, r in ep.factors),
+                    24 * m)
 
 
 def gamma0_cusp_order(ep: EtaProduct, level: int, cusp: Cusp) -> Fraction:

@@ -22,7 +22,7 @@ class BeyondTruncationError(EtaProverError, ValueError):
 
 
 class NotAnEtaProductError(EtaProverError, ValueError):
-    """A q-series could not be recognized as an eta-product."""
+    """A q-series or expression is not an eta-product where one is needed."""
 
 
 class NotAFormError(EtaProverError, ValueError):

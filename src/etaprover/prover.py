@@ -155,13 +155,29 @@ def sum_of_column_minima(
     return _minima_and_bound([[v for _, v in row] for row in rows])[1]
 
 
+def _per_denominator(cusps: Sequence[Cusp],
+                     value: Callable[[Cusp], Fraction]) -> tuple[Fraction, ...]:
+    """``value(s)`` at every cusp s, for a ``value`` that depends only on the
+    denominator of s: evaluated at the first cusp of each denominator and
+    reused at the others."""
+    memo: dict[int, Fraction] = {}
+    for s in cusps:
+        if s.c not in memo:
+            memo[s.c] = value(s)
+    return tuple(memo[s.c] for s in cusps)
+
+
 def cusp_order_rows(terms: Sequence[tuple[Fraction, EtaProduct]], level: int
                     ) -> tuple[list[Cusp], list[tuple[Fraction, ...]]]:
     """The cusps of Gamma0(level) and, once per term, the width-normalized
-    order of its product at every one of them, the infinite class included."""
+    order of its product at every one of them, the infinite class included.
+
+    The Ligozat order and the fan width depend only on the denominator of
+    the cusp, so each order is evaluated once per distinct denominator."""
     all_cusps = cusp_set(level)
-    return all_cusps, [tuple(gamma0_cusp_order(f, level, s) for s in all_cusps)
-                       for _, f in terms]
+    return all_cusps, [
+        _per_denominator(all_cusps, lambda s: gamma0_cusp_order(f, level, s))
+        for _, f in terms]
 
 
 def order_table(level: int, terms: Sequence[tuple[Fraction, EtaProduct]],
@@ -173,12 +189,14 @@ def order_table(level: int, terms: Sequence[tuple[Fraction, EtaProduct]],
     ``all_cusps`` and ``rows`` come from :func:`cusp_order_rows`; the column
     of the infinite class is dropped.  The column minima also take in the
     Gordon-Hughes bound ``up_row(cusp)`` of U_``up_p`` when given, and the
-    zero row of the constant term when ``constant`` is set.
+    zero row of the constant term when ``constant`` is set.  Like the order
+    rows, ``up_row`` depends only on the cusp's denominator and is evaluated
+    once per distinct denominator.
     """
     keep = [j for j, s in enumerate(all_cusps) if s.c != level]
     cusps = tuple(all_cusps[j] for j in keep)
     orders = tuple(tuple(row[j] for j in keep) for row in rows)
-    up_bounds = None if up_row is None else tuple(up_row(s) for s in cusps)
+    up_bounds = None if up_row is None else _per_denominator(cusps, up_row)
     matrix = list(orders)
     if up_bounds is not None:
         matrix.append(up_bounds)

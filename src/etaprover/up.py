@@ -66,7 +66,14 @@ def up_order_lower_bound(ep: EtaProduct, cusp: Cusp, level: int,
 def _gordon_hughes_bound(ep: EtaProduct, cusp: Cusp, level: int,
                          p: int) -> Fraction:
     """The case split of :func:`up_order_lower_bound`, for arguments that
-    already meet its preconditions."""
+    already meet its preconditions.
+
+    The result depends only on the denominator d of the cusp, since the
+    order at a cusp depends only on its reduced denominator: for v > 0 the
+    numerator b is prime to p, so b/(pd) is already reduced; for v = 0
+    exactly one k in 0..p-1 has p | b + kd, so the sweep meets denominator d
+    once and pd p - 1 times, whatever b is.
+    """
     b, d = cusp.b, cusp.c
     pN = p * level
     v = nu(p, d)

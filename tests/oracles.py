@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import gcd
 
-from etaprover import EtaProduct, QSeries, modular_function_check
+from etaprover import Cusp, EtaProduct, QSeries, modular_function_check
 
 # -- dense integer-exponent polynomial helpers --------------------------------
 
@@ -98,6 +98,30 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def cusp_set_brute(n: int) -> list[Cusp]:
+    """The Chua-Lang cusp representatives of Gamma0(n), literally: for every
+    d <= n dividing n, every x < d coprime to d whose class mod gcd(d, n/d)
+    has not been taken yet."""
+    out = []
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        e = gcd(d, n // d)
+        seen = set()
+        for x in range(d):
+            if gcd(x, d) == 1 and x % e not in seen:
+                seen.add(x % e)
+                out.append(Cusp(x, d))
+    return out
+
+
+def ligozat_order(ep: EtaProduct, c: int) -> Fraction:
+    """Invariant order at a cusp of denominator c: the Ligozat sum of
+    gcd(t, c)^2 r / (24 t), term by term in Fractions."""
+    return sum((Fraction(gcd(t, c) ** 2 * r, 24 * t) for t, r in ep.factors),
+               Fraction(0))
+
+
 def totient(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
@@ -173,6 +197,21 @@ def modular_pool(level: int) -> list[EtaProduct]:
             raise AssertionError(f"no modular eta-products found for level {level}")
     _POOL_CACHE[level] = pool
     return pool
+
+
+def sampled_modular_product(rng: random.Random, level: int) -> EtaProduct:
+    """A modular function on Gamma0(level) drawn by rejection: two to four
+    eta factors over divisors of the level, exponents in -12..12 with the
+    last one balancing their sum.  Needs no pool, so large levels are cheap;
+    levels 1 and 2 have no such product."""
+    divs = divisors(level)
+    for _ in range(200_000):
+        ts = rng.sample(divs, min(len(divs), rng.randint(2, 4)))
+        rs = [rng.randint(-12, 12) for _ in ts[1:]]
+        ep = EtaProduct(zip(ts, rs + [-sum(rs)]))
+        if not ep.is_empty() and modular_function_check(ep, level).invariant:
+            return ep
+    raise AssertionError(f"no modular eta-product sampled for level {level}")
 
 
 def random_modular_product(rng: random.Random, level: int) -> EtaProduct:

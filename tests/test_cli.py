@@ -224,6 +224,36 @@ def test_orders_identity_table(capsys):
     assert "B = -2" in out
 
 
+@pytest.mark.parametrize("expr", ["2*[5,6,1,-6]", "(-3/2)*[5,6,1,-6]",
+                                  "[5,6,1,-6]/7"])
+def test_orders_of_scaled_product_is_the_product_table(expr, capsys):
+    # a scalar does not change orders
+    expected = run(capsys, "orders", "[5,6,1,-6]", "5")
+    assert expected[0] == 0 and "-1" in expected[1]
+    assert run(capsys, "orders", expr, "5") == expected
+
+
+@pytest.mark.parametrize("expr", ["3", "0", "[5,6,1,-6] - [5,6,1,-6]"])
+def test_orders_without_eta_product_term_is_usage_error(expr, capsys):
+    code, out, err = run(capsys, "orders", expr, "5")
+    assert code == 3
+    assert out == ""
+    assert err == "error: orders needs an eta-product term\n"
+
+
+@pytest.mark.parametrize("what, argv", [
+    ("check", ["check", "1", "6"]),
+    ("check", ["check", "2*[1,4,2,-2,10,2,5,-4] + 1", "20"]),
+    ("formcheck", ["formcheck", "[1,1] + [2,1]", "6"]),
+    ("--no-prefactor", ["expand", "3*eta(1)", "--no-prefactor"]),
+])
+def test_non_product_error_has_no_invented_position(what, argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {what} needs a plain eta-product expression\n"
+
+
 @pytest.mark.parametrize("level", ["0", "-4"])
 @pytest.mark.parametrize("argv", [
     ["cusps", "{level}"],

@@ -16,7 +16,17 @@ from etaprover import (
     gamma0_cusp_orders,
 )
 
-from oracles import divisors, gamma0_index, random_modular_product, totient
+from etaprover.arith import divisors as fast_divisors
+
+from oracles import (
+    cusp_set_brute,
+    divisors,
+    gamma0_index,
+    ligozat_order,
+    random_eta_product,
+    random_modular_product,
+    totient,
+)
 
 F = Fraction
 
@@ -65,6 +75,21 @@ def test_cusp_set_multiple_numerators():
     # level 16, divisor 4 has e_d = 4 and two classes: 1/4 and 3/4
     assert cusps_as_fractions(16) == [
         F(0), F(1, 2), F(1, 4), F(3, 4), F(1, 8), F(1, 16)]
+
+
+# Highly composite levels, up to the largest of the bound benchmark.
+BOUND_LEVELS = (420, 840, 2520, 5040, 10080, 27720, 55440, 100800)
+
+
+def test_divisors_match_trial_division():
+    for n in list(range(1, 2001)) + [2 ** 17, 3 ** 9, 9973, 9973 * 89,
+                                     *BOUND_LEVELS]:
+        assert fast_divisors(n) == divisors(n)
+
+
+def test_cusp_set_matches_brute_force_in_order():
+    for n in list(range(1, 1501)) + list(BOUND_LEVELS):
+        assert cusp_set(n) == cusp_set_brute(n), n
 
 
 def test_cusp_count_oracle_small_levels():
@@ -151,6 +176,16 @@ def test_order_depends_only_on_denominator():
         bs = [b for b in range(1, 4 * c) if gcd(b, c) == 1]
         vals = {cusp_order(ep, Cusp(b, c)) for b in bs[:4]}
         assert len(vals) == 1
+
+
+def test_order_matches_termwise_ligozat_sum():
+    rng = random.Random(24)
+    for _ in range(200):
+        ep = random_eta_product(rng, max_t=60, max_r=30, max_factors=6)
+        for c in (0, 1, rng.randint(2, 60), rng.randint(61, 10 ** 6)):
+            cusp = Cusp.infinity() if c == 0 else Cusp(1, c)
+            assert cusp_order(ep, cusp) == ligozat_order(ep, c)
+    assert cusp_order(EtaProduct(), Cusp(1, 6)) == ligozat_order(EtaProduct(), 6)
 
 
 def test_order_at_infinity_matches_expansion():

@@ -16,9 +16,15 @@ from etaprover import (
     prove_identity,
     sum_of_column_minima,
 )
+from etaprover.cusps import cusp_set, gamma0_cusp_order
 from etaprover.errors import EmptyIdentityError, MisalignedRowsError
+from etaprover.prover import cusp_order_rows
 
-from oracles import random_modular_product
+from oracles import (
+    random_eta_product,
+    random_modular_product,
+    sampled_modular_product,
+)
 
 F = Fraction
 
@@ -223,6 +229,21 @@ def test_margin_must_be_a_positive_int(margin):
         prove_identity(entry31_combo(), 6, margin=margin)
     with pytest.raises(ValueError, match="margin must be a positive integer"):
         prove_identity(EtaCombo(0), 6, margin=margin, verify=False)
+
+
+@pytest.mark.parametrize("level", [1, 6, 40, 72, 120, 420, 2520, 100800])
+def test_order_rows_equal_per_cusp_orders(level):
+    # the rows evaluate each order once per denominator; every cusp must
+    # still get the order evaluated at that cusp
+    rng = random.Random(level)
+    products = [random_eta_product(rng) for _ in range(3)]
+    if level > 2:
+        products += [sampled_modular_product(rng, level) for _ in range(3)]
+    terms = [(F(rng.randint(-9, 9) or 1), f) for f in products]
+    all_cusps, rows = cusp_order_rows(terms, level)
+    assert all_cusps == cusp_set(level)
+    assert rows == [tuple(gamma0_cusp_order(f, level, s) for s in all_cusps)
+                    for _, f in terms]
 
 
 def test_bound_permutation_invariant():

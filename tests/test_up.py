@@ -20,7 +20,10 @@ from etaprover import (
     up_order_lower_bound,
     up_series,
 )
+from etaprover.arith import nu, prime_factors
 from etaprover.errors import FractionalExponentError, PreconditionError
+
+from oracles import sampled_modular_product
 
 F = Fraction
 
@@ -135,6 +138,27 @@ def test_case_selection_is_exhaustive_and_exclusive():
             v = val(p, d)
             cases = (2 * v >= vN, 0 < 2 * v < vN, v == 0)
             assert sum(cases) == 1
+
+
+def test_up_row_per_denominator_equals_checked_bound_at_every_cusp():
+    # the prover evaluates the Gordon-Hughes row once per denominator; at
+    # every cusp it must equal the checked bound evaluated at that cusp, in
+    # each of the three cases, for p = 2 and for odd p
+    rng = random.Random(34)
+    cases = set()
+    for level in (20, 50, 72, 108, 120, 2520, 100800):
+        for p in prime_factors(level):
+            ep = sampled_modular_product(rng, p * level)
+            report = prove_up_identity(ep, p, EtaCombo(1), level, verify=False)
+            assert report.up_bounds == tuple(
+                up_order_lower_bound(ep, s, level, p) for s in report.cusps)
+            for s in report.cusps:
+                v = nu(p, s.c)
+                case = "v=0" if v == 0 else (
+                    "2v<nu" if 2 * v < nu(p, level) else "2v>=nu")
+                cases.add((p == 2, case))
+    assert cases == {(two, case) for two in (True, False)
+                     for case in ("v=0", "2v<nu", "2v>=nu")}
 
 
 # -- the U_p prover -------------------------------------------------------------------

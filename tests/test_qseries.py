@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etaprover import LeadingTerm, QSeries, eta_series, euler_product
 from etaprover.errors import (
@@ -13,7 +14,7 @@ from etaprover.errors import (
     ZeroSeriesError,
 )
 
-from oracles import euler_brute, partition_numbers, random_qseries
+from oracles import euler_brute, partition_numbers, pdiv, ppow, random_qseries
 
 F = Fraction
 
@@ -293,6 +294,38 @@ def test_invert_is_two_sided_inverse_random():
         assert agree(a * inv, QSeries.one())
         assert agree(inv * a, QSeries.one())
         done += 1
+
+
+def _int_dict(s):
+    """Stored terms of an integer-exponent series as {exponent: coefficient}."""
+    return {e // 24: c for e, c in zip(s._e, s._c)}
+
+
+units = st.builds(
+    lambda depth, tail: (depth, {0: 1, **{e: c for e, c in tail if e < depth}}),
+    st.integers(1, 24),
+    st.lists(st.tuples(st.integers(1, 23), st.integers(-5, 5).filter(bool)),
+             max_size=5))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(units, st.integers(-4, 4))
+def test_pow_matches_schoolbook_oracle(unit, n):
+    depth, u = unit
+    got = QSeries(u.items(), trunc=depth) ** n
+    want = ppow(u, n, depth) if n >= 0 else pdiv({0: 1}, ppow(u, -n, depth), depth)
+    assert _int_dict(got) == want
+    assert got._t == (None if n == 0 else 24 * depth)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(units, st.integers(-2, 30))
+def test_invert_matches_schoolbook_oracle(unit, depth):
+    trunc, u = unit
+    got = QSeries(u.items(), trunc=trunc).invert(depth)
+    bound = min(depth, trunc)
+    assert _int_dict(got) == pdiv({0: 1}, u, max(bound, 0))
+    assert got._t == 24 * bound
 
 
 def test_all_exponents_stay_on_the_lattice():

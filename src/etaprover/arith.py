@@ -1,10 +1,19 @@
-"""Integer helpers shared by the cusps, modularity checks and U_p bounds."""
+"""Integer helpers shared by the cusps, modularity checks, provers and U_p
+bounds."""
 
 from __future__ import annotations
 
 from math import isqrt
 
-__all__ = ["prime_factors", "divisors", "is_prime", "is_square", "nu"]
+__all__ = ["check_positive", "prime_factors", "divisors", "is_prime",
+           "is_square", "nu"]
+
+
+def check_positive(**values) -> None:
+    """Raise ValueError unless every named value is a positive int."""
+    for name, value in values.items():
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be a positive integer")
 
 
 def prime_factors(n: int) -> dict[int, int]:

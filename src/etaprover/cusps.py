@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .arith import divisors
+from .arith import check_positive, divisors
 from .etaproducts import EtaProduct
 
 __all__ = [
@@ -100,8 +100,7 @@ def cusp_set(level: int) -> list[Cusp]:
     ascending within each divisor.  The entry with denominator equal to the
     level represents the class of the infinite cusp.
     """
-    if not isinstance(level, int) or level < 1:
-        raise ValueError("level must be a positive integer")
+    check_positive(level=level)
     out: list[Cusp] = []
     for d in divisors(level):
         e = gcd(d, level // d)
@@ -119,8 +118,7 @@ def cusp_set(level: int) -> list[Cusp]:
 
 def fan_width(cusp: Cusp, level: int) -> int:
     """Fan width of a cusp of Gamma0(level): level/gcd(level, c^2)."""
-    if not isinstance(level, int) or level < 1:
-        raise ValueError("level must be a positive integer")
+    check_positive(level=level)
     return level // gcd(level, cusp.c * cusp.c)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_square, prime_factors
+from .arith import check_positive, is_square, prime_factors
 from .errors import NotAFormError
 from .etaproducts import EtaProduct
 
@@ -55,8 +55,7 @@ def modular_function_check(ep: EtaProduct, level: int) -> ModularityVerdict:
          which the canonical form guarantees);
       5. sum of (level/t)*r is divisible by 24.
     """
-    if not isinstance(level, int) or level < 1:
-        raise ValueError("level must be a positive integer")
+    check_positive(level=level)
     fs = ep.factors
     c1 = sum(r for _, r in fs) == 0
     c2 = sum(t * r for t, r in fs) % 24 == 0
@@ -102,24 +101,22 @@ def modular_form_check(ep: EtaProduct, level: int) -> FormVerdict:
     """Standard eta-quotient criterion for a form with character on Gamma0(level).
 
     Checks that every multiplier divides the level and that both weighted
-    exponent sums are divisible by 24, and that the weight (half the exponent
-    sum) is nonnegative.  Raises :class:`NotAFormError` otherwise.  For
-    half-integral weight the verdict is flagged and the character is computed
-    from the multiplier product alone.
+    exponent sums are divisible by 24 (Newman's conditions 4, 2 and 5, as
+    :func:`modular_function_check` reports them), and that the weight (half
+    the exponent sum) is nonnegative.  Raises :class:`NotAFormError`
+    otherwise.  For half-integral weight the verdict is flagged and the
+    character is computed from the multiplier product alone.
     """
-    if not isinstance(level, int) or level < 1:
-        raise ValueError("level must be a positive integer")
+    _, c2, _, c4, c5 = modular_function_check(ep, level).conditions
     fs = ep.factors
     problems = []
-    bad_t = [t for t, _ in fs if level % t != 0]
-    if bad_t:
+    if not c4:
+        bad_t = [t for t, _ in fs if level % t != 0]
         problems.append(f"multipliers {bad_t} do not divide {level}")
-    if sum(t * r for t, r in fs) % 24 != 0:
+    if not c2:
         problems.append("sum of t*r is not divisible by 24")
-    if not bad_t:
-        s = sum(Fraction(level, t) * r for t, r in fs)
-        if s % 24 != 0:
-            problems.append("sum of (level/t)*r is not divisible by 24")
+    if c4 and not c5:
+        problems.append("sum of (level/t)*r is not divisible by 24")
     k2 = ep.exponent_sum
     if k2 < 0:
         problems.append(f"weight {Fraction(k2, 2)} is negative")

@@ -25,6 +25,7 @@ from math import floor
 from typing import Callable, Optional, Sequence
 
 from . import __version__
+from .arith import check_positive
 from .cusps import Cusp, cusp_set, gamma0_cusp_order
 # bench/tracing.py wraps this name here:
 from .cusps import gamma0_cusp_orders  # noqa: F401
@@ -231,13 +232,6 @@ def _not_applicable(level: int, reason: str, *, up_p=None) -> ProofReport:
         required_depth=0, checked_depth=-1, up_p=up_p, reason=reason)
 
 
-def _check_positive(**values) -> None:
-    """Raise ValueError unless every named value is a positive int."""
-    for name, value in values.items():
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be a positive integer")
-
-
 def _valence_proof(combo: EtaCombo, level: int,
                    vanishing: Callable[[int], QSeries], *, margin: int,
                    verify: bool, constants_warning: bool, up_row=None,
@@ -299,7 +293,7 @@ def prove_identity(combo: EtaCombo, level: int, margin: int = 10,
     checked as a consistency safety net.  A level or margin that is not a
     positive int raises ValueError.
     """
-    _check_positive(level=level, margin=margin)
+    check_positive(level=level, margin=margin)
     if combo.constant == 0 and not combo.terms:
         return ProofReport(level=level, verdict=Verdict.PROVED,
                            bound=Fraction(0), required_depth=0,

@@ -17,6 +17,7 @@ shrinks it rather than ever emitting an unreliable coefficient.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, NamedTuple, Optional, Union
@@ -153,16 +154,8 @@ class QSeries:
         if self._t is not None and n >= self._t:
             raise BeyondTruncationError(
                 f"coefficient of q^{e} lies beyond the truncation q^{self.trunc}")
-        lo, hi = 0, len(self._e)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._e[mid] < n:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self._e) and self._e[lo] == n:
-            return self._c[lo]
-        return 0
+        i = bisect_left(self._e, n)
+        return self._c[i] if i < len(self._e) and self._e[i] == n else 0
 
     def leading_term(self) -> Optional[LeadingTerm]:
         """Smallest-exponent nonzero term, or None if zero up to trunc."""
@@ -282,65 +275,64 @@ class QSeries:
             i -= 1
         return QSeries._raw(self._e[:i], self._c[:i], t24)
 
-    def _unit_invert(self) -> "QSeries":
-        """Inverse of a series with leading term 1*q^0, at its own truncation."""
+    def _unit_pow(self, n: int) -> "QSeries":
+        """u**n for a series u with leading term 1*q^0, at its own truncation.
+
+        J.C.P. Miller's recurrence: with u = 1 + sum_j u_j x^j on the grid
+        x = q^g of u's exponents and v = u**n, v_0 = 1 and
+        k v_k = sum_{j=1..k} ((n+1) j - k) u_j v_(k-j).  It costs
+        O(L nnz(u)) for every n.  For n = -1 every weight is -k, so the
+        weights and the division drop out (the u_j are negated instead) and
+        it is the triangular inverse.  Integer coefficients stay integers:
+        k v_k is then a multiple of k.
+        """
         rest_e, rest_c = self._e[1:], self._c[1:]
         if not rest_e:
             return self
         T = self._t
-        if T is None:
+        if T is None and n < 0:
             raise ValueError(
                 "cannot invert an exact polynomial without a truncation; "
                 "apply .truncated(depth) first or call invert(depth)")
-        g = 0
-        for e in rest_e:
-            g = gcd(g, e)
-        ue = [e // g for e in rest_e]
-        L = -(-T // g)
-        b: list = [0] * L
-        b[0] = 1
-        out_e = [0]
-        out_c: list = [1]
-        for m in range(1, L):
+        g = gcd(*rest_e)
+        w = n + 1
+        terms = [(e // g, c if w else -c) for e, c in zip(rest_e, rest_c)]
+        L = n * terms[-1][0] + 1 if T is None else -(-T // g)
+        integral = all(type(c) is int for c in rest_c)
+        v: list = [1] + [0] * (L - 1)
+        for k in range(1, L):
             s = 0
-            for i, e in enumerate(ue):
-                if e > m:
+            for j, c in terms:
+                if j > k:
                     break
-                bm = b[m - e]
-                if bm:
-                    s += rest_c[i] * bm
-            if s:
-                v = -s
-                b[m] = v
-                out_e.append(m * g)
-                out_c.append(_coeff(v))
-        return QSeries._raw(tuple(out_e), tuple(out_c), T)
+                vj = v[k - j]
+                if vj:
+                    s += (w * j - k) * c * vj if w else c * vj
+            if w and s:
+                s = s // k if integral else Fraction(s, k)
+            v[k] = s
+        return QSeries._from24({k * g: c for k, c in enumerate(v)}, T)
+
+    def _unit_invert(self) -> "QSeries":
+        """Inverse of a series with leading term 1*q^0, at its own truncation."""
+        return self._unit_pow(-1)  # bench/tracing.py wraps this name
 
     def invert(self, depth: Exponent) -> "QSeries":
         """Multiplicative inverse b with self*b = 1 + O(q^depth).
 
         The result is truncated at ``depth`` or at the bound the input's own
         truncation justifies, whichever is smaller.  Exact monomials invert
-        exactly.
+        exactly, and the zero series raises, as for ``self ** -1``.
         """
-        if not self._e:
-            raise ZeroSeriesError("cannot invert a series that is zero up to its truncation")
-        e0, c0 = self._e[0], self._c[0]
-        if self._t is None and len(self._e) == 1:
-            return QSeries._raw((-e0,), (_coeff(Fraction(1, 1) / Fraction(c0)),), None)
+        if not self._e or (self._t is None and len(self._e) == 1):
+            return self ** -1
+        e0 = self._e[0]
         d24 = _lattice24(depth)
         if self._t is not None:
             d24 = min(d24, self._t - 2 * e0)
-        rel = d24 + e0
-        if rel <= 0:
+        if d24 + e0 <= 0:
             return QSeries._raw((), (), d24)
-        unit = self._shift(-e0)
-        if c0 != 1:
-            unit = unit._scale(Fraction(1, 1) / Fraction(c0))
-        inv = unit._truncated24(rel)._unit_invert()
-        if c0 != 1:
-            inv = inv._scale(Fraction(1, 1) / Fraction(c0))
-        return inv._shift(-e0)
+        return self._truncated24(d24 + 2 * e0) ** -1
 
     def __pow__(self, n: int) -> "QSeries":
         if not isinstance(n, int):
@@ -353,28 +345,9 @@ class QSeries:
             if n < 0:
                 raise ZeroSeriesError("cannot invert a series that is zero up to its truncation")
             return QSeries._raw((), (), None if self._t is None else n * self._t)
-        e0, c0 = self._e[0], self._c[0]
-        unit = self._shift(-e0)
-        if c0 != 1:
-            unit = unit._scale(Fraction(1, 1) / Fraction(c0))
-        if n < 0:
-            unit = unit._unit_invert()
-            m = -n
-        else:
-            m = n
-        acc = None
-        base = unit
-        while m:
-            if m & 1:
-                acc = base if acc is None else acc * base
-            m >>= 1
-            if m:
-                base = base * base
-        out = acc._shift(n * e0)
-        coef = Fraction(c0) ** n
-        if coef != 1:
-            out = out._scale(coef)
-        return out
+        e0, c0 = self._e[0], Fraction(self._c[0])
+        unit = self._shift(-e0)._scale(1 / c0)
+        return unit._unit_pow(n)._shift(n * e0)._scale(c0 ** n)
 
     # -- coefficient extraction ---------------------------------------------
 

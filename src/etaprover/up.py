@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import is_prime, nu
+from .arith import check_positive, is_prime, nu
 from .cusps import Cusp, gamma0_cusp_order
 # bench/tracing.py wraps these names here:
 from .cusps import cusp_set, gamma0_cusp_orders  # noqa: F401
 from .errors import PreconditionError
 from .etaproducts import EtaCombo, EtaProduct
 from .modularity import modular_function_check
-from .prover import ProofReport, _check_positive, _not_applicable, _valence_proof
+from .prover import ProofReport, _not_applicable, _valence_proof
 from .qseries import QSeries
 
 __all__ = ["up_series", "up_order_lower_bound", "prove_up_identity"]
@@ -69,10 +69,13 @@ def _gordon_hughes_bound(ep: EtaProduct, cusp: Cusp, level: int,
     already meet its preconditions.
 
     The result depends only on the denominator d of the cusp, since the
-    order at a cusp depends only on its reduced denominator: for v > 0 the
-    numerator b is prime to p, so b/(pd) is already reduced; for v = 0
-    exactly one k in 0..p-1 has p | b + kd, so the sweep meets denominator d
-    once and pd p - 1 times, whatever b is.
+    order at a cusp depends only on its reduced denominator.  For v > 0 the
+    numerator b is prime to p, so b/(pd) is already reduced.  For v = 0,
+    gcd(b + kd, pd) = gcd(b + kd, p) since b is prime to d, and exactly one
+    k in 0..p-1 has p | b + kd: the sweep meets denominator d once and pd
+    p - 1 times, whatever b is.  So the minimum over k is the minimum of two
+    orders, at 1/d and at 1/(pd) (not at b/(pd), which for the cusp 0
+    would reduce to 0/1).
     """
     b, d = cusp.b, cusp.c
     pN = p * level
@@ -81,8 +84,8 @@ def _gordon_hughes_bound(ep: EtaProduct, cusp: Cusp, level: int,
         return Fraction(1, p) * gamma0_cusp_order(ep, pN, Cusp(b, p * d))
     if v > 0:
         return gamma0_cusp_order(ep, pN, Cusp(b, p * d))
-    return min(gamma0_cusp_order(ep, pN, Cusp(b + k * d, p * d))
-               for k in range(p))
+    return min(gamma0_cusp_order(ep, pN, Cusp(1, d)),
+               gamma0_cusp_order(ep, pN, Cusp(1, p * d)))
 
 
 def prove_up_identity(ep: EtaProduct, p: int, rhs: EtaCombo, level: int,
@@ -97,7 +100,7 @@ def prove_up_identity(ep: EtaProduct, p: int, rhs: EtaCombo, level: int,
     rhs expansion must then vanish through q^floor(-B).  ``level`` and
     ``margin`` are checked as in :func:`prove_identity`.
     """
-    _check_positive(level=level, margin=margin)
+    check_positive(level=level, margin=margin)
     _check_p(p, level)
     check = modular_function_check(ep, p * level)
     if not check.invariant:

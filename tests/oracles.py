@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product as iproduct
 from math import gcd
 
 from etaprover import Cusp, EtaProduct, QSeries, modular_function_check
@@ -122,6 +121,34 @@ def ligozat_order(ep: EtaProduct, c: int) -> Fraction:
                Fraction(0))
 
 
+def gordon_hughes_brute(ep: EtaProduct, cusp: Cusp, level: int,
+                        p: int) -> Fraction:
+    """The Gordon-Hughes case split for U_p ep at the cusp b/d of
+    Gamma0(level), literally: v = nu_p(d) by repeated division, and every
+    order on Gamma0(p*level) as fan width times the Ligozat sum at the
+    reduced denominator, with the full sweep over k = 0..p-1 when v = 0."""
+    pn = p * level
+
+    def order(num: int, den: int) -> Fraction:
+        c = Fraction(num, den).denominator
+        return Fraction(pn, gcd(pn, c * c)) * ligozat_order(ep, c)
+
+    def val(n: int) -> int:
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    b, d = cusp.b, cusp.c
+    v = val(d)
+    if 2 * v >= val(level):
+        return order(b, p * d) / p
+    if v > 0:
+        return order(b, p * d)
+    return min(order(b + k * d, p * d) for k in range(p))
+
+
 def totient(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
@@ -166,39 +193,6 @@ def random_eta_product(rng: random.Random, max_t: int = 12,
     return EtaProduct(factors)
 
 
-_POOL_CACHE: dict[int, list[EtaProduct]] = {}
-
-
-def modular_pool(level: int) -> list[EtaProduct]:
-    """Nonempty list of eta-products that are modular functions on
-    Gamma0(level), found by enumerating small exponent vectors over divisor
-    subsets.  The bound escalates automatically until something is found."""
-    if level in _POOL_CACHE:
-        return _POOL_CACHE[level]
-    divs = divisors(level)
-    pool: list[EtaProduct] = []
-    seen = set()
-    bound = 4
-    while not pool:
-        max_support = 3 if len(divs) > 4 and bound > 4 else 4
-        for k in range(2, min(len(divs), max_support) + 1):
-            for sub in combinations(divs, k):
-                for vec in iproduct(range(-bound, bound + 1), repeat=k):
-                    if not any(vec):
-                        continue
-                    ep = EtaProduct(zip(sub, vec))
-                    if ep.factors in seen or ep.is_empty():
-                        continue
-                    if modular_function_check(ep, level).invariant:
-                        seen.add(ep.factors)
-                        pool.append(ep)
-        bound += 4
-        if bound > 16:
-            raise AssertionError(f"no modular eta-products found for level {level}")
-    _POOL_CACHE[level] = pool
-    return pool
-
-
 def sampled_modular_product(rng: random.Random, level: int) -> EtaProduct:
     """A modular function on Gamma0(level) drawn by rejection: two to four
     eta factors over divisors of the level, exponents in -12..12 with the
@@ -215,12 +209,12 @@ def sampled_modular_product(rng: random.Random, level: int) -> EtaProduct:
 
 
 def random_modular_product(rng: random.Random, level: int) -> EtaProduct:
-    """A random modular function on Gamma0(level): a small integer
-    combination of pool elements (the defining conditions are closed under
-    products, so the result stays modular)."""
-    pool = modular_pool(level)
+    """A random modular function on Gamma0(level): a product of one to three
+    sampled ones, each to a small power (the defining conditions are closed
+    under products, so the result stays modular)."""
     ep = EtaProduct()
     for _ in range(rng.randint(1, 3)):
-        ep = ep * (rng.choice(pool) ** rng.choice([-2, -1, 1, 1, 2]))
+        base = sampled_modular_product(rng, level)
+        ep = ep * (base ** rng.choice([-2, -1, 1, 1, 2]))
     assert modular_function_check(ep, level).invariant
     return ep

@@ -23,7 +23,7 @@ from etaprover import (
 from etaprover.arith import nu, prime_factors
 from etaprover.errors import FractionalExponentError, PreconditionError
 
-from oracles import sampled_modular_product
+from oracles import gordon_hughes_brute, sampled_modular_product
 
 F = Fraction
 
@@ -159,6 +159,21 @@ def test_up_row_per_denominator_equals_checked_bound_at_every_cusp():
                 cases.add((p == 2, case))
     assert cases == {(two, case) for two in (True, False)
                      for case in ("v=0", "2v<nu", "2v>=nu")}
+
+
+def test_gordon_hughes_row_matches_brute_sweep_at_every_cusp():
+    # the row takes the v = 0 minimum over two denominators in place of the
+    # p-term sweep; the oracle sweeps every k with its own orders
+    rng = random.Random(35)
+    checked = 0
+    for level in (20, 50, 72, 108, 120, 2520, 100800):
+        for p in prime_factors(level):
+            ep = sampled_modular_product(rng, p * level)
+            for s in cusp_set(level):
+                assert (up_order_lower_bound(ep, s, level, p)
+                        == gordon_hughes_brute(ep, s, level, p)), (level, p, s)
+                checked += 1
+    assert checked > 2000
 
 
 # -- the U_p prover -------------------------------------------------------------------

@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, NamedTuple, Optional, Union
 
+from .arith import check_positive
 from .errors import (
     BeyondTruncationError,
     FractionalExponentError,
@@ -339,8 +340,6 @@ class QSeries:
             raise TypeError("series exponent must be an int")
         if n == 0:
             return QSeries.one()
-        if n == 1:
-            return self
         if not self._e:
             if n < 0:
                 raise ZeroSeriesError("cannot invert a series that is zero up to its truncation")
@@ -462,8 +461,7 @@ def euler_product(t: int, depth: Exponent) -> QSeries:
     Generated by the pentagonal-number series, which enumerates the nonzero
     coefficients directly.
     """
-    if not isinstance(t, int) or t < 1:
-        raise ValueError("multiplier must be a positive integer")
+    check_positive(multiplier=t)
     t24 = _lattice24(depth)
     return QSeries._from24(
         {24 * t * n: c for n, c in _pentagonal(-(-t24 // (24 * t)))}, t24)
@@ -471,7 +469,6 @@ def euler_product(t: int, depth: Exponent) -> QSeries:
 
 def eta_series(t: int, depth: Exponent) -> QSeries:
     """q-expansion of eta(t*tau) = q^(t/24) prod_{n>=1} (1 - q^(t*n))."""
-    if not isinstance(t, int) or t < 1:
-        raise ValueError("multiplier must be a positive integer")
+    check_positive(multiplier=t)
     d24 = _lattice24(depth)
     return euler_product(t, Fraction(d24 - t, 24))._shift(t)

@@ -11,6 +11,7 @@ parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -275,10 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_shared_parser = functools.cache(build_parser)  # parse_args keeps no state
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

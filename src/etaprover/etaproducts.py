@@ -35,7 +35,7 @@ class EtaProduct:
             if not isinstance(r, int):
                 raise ValueError(f"eta exponent must be an integer, got {r!r}")
             acc[t] = acc.get(t, 0) + r
-        self._factors = tuple((t, acc[t]) for t in sorted(acc, reverse=True) if acc[t])
+        self._factors = tuple([(t, acc[t]) for t in sorted(acc, reverse=True) if acc[t]])
 
     @classmethod
     def from_flat(cls, flat: Iterable[int]) -> "EtaProduct":
@@ -82,7 +82,7 @@ class EtaProduct:
     def __truediv__(self, other) -> "EtaProduct":
         if not isinstance(other, EtaProduct):
             return NotImplemented
-        return EtaProduct(self._factors + tuple((t, -r) for t, r in other._factors))
+        return EtaProduct(self._factors + tuple([(t, -r) for t, r in other._factors]))
 
     def __pow__(self, n: int) -> "EtaProduct":
         if not isinstance(n, int):
@@ -169,7 +169,7 @@ class EtaCombo:
                 order.append(f)
                 acc[f] = a
         self._constant = const
-        self._terms = tuple((acc[f], f) for f in order if acc[f] != 0)
+        self._terms = tuple([(acc[f], f) for f in order if acc[f] != 0])
 
     @property
     def constant(self) -> Fraction:

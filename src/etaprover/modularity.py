@@ -38,7 +38,7 @@ class ModularityVerdict:
     @property
     def failed(self) -> tuple[int, ...]:
         """1-based indices of the failed conditions."""
-        return tuple(i + 1 for i, ok in enumerate(self.conditions) if not ok)
+        return tuple([i + 1 for i, ok in enumerate(self.conditions) if not ok])
 
     def __bool__(self) -> bool:
         return self.invariant

@@ -137,7 +137,7 @@ def normalize_identity(combo: EtaCombo) -> EtaCombo:
 
 def _minima_and_bound(matrix) -> tuple[tuple[Fraction, ...], Fraction]:
     """Columnwise minima of equal-length order rows, and their sum B."""
-    minima = tuple(min(col) for col in zip(*matrix))
+    minima = tuple([min(col) for col in zip(*matrix)])
     return minima, sum(minima, Fraction(0))
 
 
@@ -165,7 +165,7 @@ def _per_denominator(cusps: Sequence[Cusp],
     for s in cusps:
         if s.c not in memo:
             memo[s.c] = value(s)
-    return tuple(memo[s.c] for s in cusps)
+    return tuple([memo[s.c] for s in cusps])
 
 
 def cusp_order_rows(terms: Sequence[tuple[Fraction, EtaProduct]], level: int
@@ -195,8 +195,8 @@ def order_table(level: int, terms: Sequence[tuple[Fraction, EtaProduct]],
     once per distinct denominator.
     """
     keep = [j for j, s in enumerate(all_cusps) if s.c != level]
-    cusps = tuple(all_cusps[j] for j in keep)
-    orders = tuple(tuple(row[j] for j in keep) for row in rows)
+    cusps = tuple([all_cusps[j] for j in keep])
+    orders = tuple([tuple([row[j] for j in keep]) for row in rows])
     up_bounds = None if up_row is None else _per_denominator(cusps, up_row)
     matrix = list(orders)
     if up_bounds is not None:
@@ -207,8 +207,8 @@ def order_table(level: int, terms: Sequence[tuple[Fraction, EtaProduct]],
     return ProofReport(
         level=level, verdict=Verdict.BOUND_ONLY, bound=bound,
         required_depth=floor(-bound), checked_depth=-1, cusps=cusps,
-        term_labels=tuple(str(f) for _, f in terms),
-        term_coefficients=tuple(a for a, _ in terms), term_orders=orders,
+        term_labels=tuple([str(f) for _, f in terms]),
+        term_coefficients=tuple([a for a, _ in terms]), term_orders=orders,
         column_minima=minima, up_bounds=up_bounds, up_p=up_p,
         constants_warning=constants_warning)
 

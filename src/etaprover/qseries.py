@@ -89,7 +89,9 @@ class QSeries:
             acc[n] = acc.get(n, 0) + _coeff(c)
         exps = sorted(n for n, c in acc.items() if c != 0)
         self._e = tuple(exps)
-        self._c = tuple(_coeff(acc[n]) for n in exps)
+        # Tuples are built from lists: tuple(<generator>) resizes a size-10 tuple,
+        # which piles up in a free list that only a full collection empties.
+        self._c = tuple([_coeff(acc[n]) for n in exps])
         self._t = t24
 
     # -- internal constructors -------------------------------------------
@@ -108,7 +110,7 @@ class QSeries:
             exps = sorted(n for n, c in acc.items() if c != 0)
         else:
             exps = sorted(n for n, c in acc.items() if c != 0 and n < t24)
-        return cls._raw(tuple(exps), tuple(_coeff(acc[n]) for n in exps), t24)
+        return cls._raw(tuple(exps), tuple([_coeff(acc[n]) for n in exps]), t24)
 
     @classmethod
     def zero(cls, trunc: Optional[Exponent] = None) -> "QSeries":
@@ -192,7 +194,7 @@ class QSeries:
     __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
-        return QSeries._raw(self._e, tuple(-c for c in self._c), self._t)
+        return QSeries._raw(self._e, tuple([-c for c in self._c]), self._t)
 
     def __sub__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
@@ -210,7 +212,7 @@ class QSeries:
             return QSeries._raw((), (), self._t)
         if k == 1:
             return self
-        return QSeries._raw(self._e, tuple(_coeff(k * c) for c in self._c), self._t)
+        return QSeries._raw(self._e, tuple([_coeff(k * c) for c in self._c]), self._t)
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
@@ -261,7 +263,7 @@ class QSeries:
         if n24 == 0:
             return self
         return QSeries._raw(
-            tuple(e + n24 for e in self._e), self._c,
+            tuple([e + n24 for e in self._e]), self._c,
             None if self._t is None else self._t + n24)
 
     def truncated(self, depth: Exponent) -> "QSeries":

@@ -193,17 +193,51 @@ def random_eta_product(rng: random.Random, max_t: int = 12,
     return EtaProduct(factors)
 
 
+def _prime_divisors(n: int) -> list[int]:
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] * (n > 1)
+
+
+def _valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
 def sampled_modular_product(rng: random.Random, level: int) -> EtaProduct:
-    """A modular function on Gamma0(level) drawn by rejection: two to four
-    eta factors over divisors of the level, exponents in -12..12 with the
-    last one balancing their sum.  Needs no pool, so large levels are cheap;
-    levels 1 and 2 have no such product."""
+    """A modular function on Gamma0(level): two to four eta factors over
+    divisors of the level, every exponent but the last two drawn in -12..12.
+
+    The last two, x and -(sum of the others) - x, are solved from Newman's
+    conditions: sum t*r and sum (level/t)*r vanish mod 24, and sum v_p(t)*r
+    is even for every prime p (prod t^|r| is a square).  These are
+    congruences in x mod 24, so one full residue system holds every
+    solution; a draw of divisors with none is drawn again.  Needs no pool,
+    so large levels are cheap; levels 1 and 2 have no such product."""
     divs = divisors(level)
-    for _ in range(200_000):
+    primes = _prime_divisors(level)
+    for _ in range(10_000):
         ts = rng.sample(divs, min(len(divs), rng.randint(2, 4)))
-        rs = [rng.randint(-12, 12) for _ in ts[1:]]
-        ep = EtaProduct(zip(ts, rs + [-sum(rs)]))
-        if not ep.is_empty() and modular_function_check(ep, level).invariant:
+        head = [rng.randint(-12, 12) for _ in ts[2:]]
+        # each condition as (weight of every factor, modulus)
+        conditions = [(ts, 24), ([level // t for t in ts], 24)] + [
+            ([_valuation(t, p) for t in ts], 2) for p in primes]
+        solutions = []
+        for x in range(-12, 12):
+            rs = head + [x, -sum(head) - x]
+            if any(rs) and all(sum(w * r for w, r in zip(ws, rs)) % m == 0
+                               for ws, m in conditions):
+                solutions.append(rs)
+        if solutions:
+            ep = EtaProduct(zip(ts, rng.choice(solutions)))
+            assert modular_function_check(ep, level).invariant
             return ep
     raise AssertionError(f"no modular eta-product sampled for level {level}")
 

@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -341,3 +343,68 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, cwd=str(REPO))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0 1/2 1/3 1/6"
+
+
+# Exit code and argv of each step; "cert.json" is relative to the working
+# directory.  Usage errors sit between valid calls, and a prove with --json
+# is followed by one without it, which must write no certificate.
+_SEQUENCE = [
+    (0, ["prove", str(RAMANUJAN), "--level", "6", "--yes", "--json",
+         "cert.json"]),
+    (0, ["prove", str(RAMANUJAN), "--level", "6", "--yes"]),
+    (3, ["no-such-command"]),
+    (0, ["prove-up", str(U5FILE), "--level", "20", "--yes", "--json",
+         "cert.json"]),
+    (0, ["prove", str(RAMANUJAN), "--level", "6", "--quiet"]),
+    (3, ["expand", "[1,1]", "--depth", "0"]),
+    (0, ["expand", "[2,2,1,-1]", "--depth", "10", "--no-prefactor"]),
+    (0, ["expand", "[2,2,1,-1]", "--depth", "2"]),
+    (0, ["factor", "eta(5)^6/eta(1)^6", "--quiet"]),
+    (0, ["factor", "eta(5)^6/eta(1)^6"]),
+    (0, ["cusps", "40"]),
+    (3, ["prove", "--level", "6"]),
+    (0, ["orders", "[5,6,1,-6]", "5"]),
+    (2, ["check", "[1,2,2,-1,10,1,5,-2]", "10", "--verbose"]),
+    (0, ["check", "[1,4,2,-2,10,2,5,-4]", "10"]),
+    (0, ["formcheck", "[1,4,2,4,4,-3,10,2,20,-1]", "40"]),
+    (0, ["--version"]),
+    (3, ["prove-up", str(REPO / "no-such-file.eta"), "--level", "20"]),
+]
+
+
+def _take_files(directory: Path) -> dict:
+    """The files a step wrote in ``directory``, removed after reading."""
+    files = {}
+    for path in directory.iterdir():
+        files[path.name] = path.read_bytes()
+        path.unlink()
+    return files
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch):
+    # argparse wraps usage text to the terminal width: fix it for both sides
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def fresh(i):
+        cwd = tmp_path / f"fresh{i}"
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "etaprover", *_SEQUENCE[i][1]],
+            capture_output=True, text=True, cwd=cwd, env=env)
+        return proc.returncode, proc.stdout, proc.stderr, _take_files(cwd)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        expected = list(pool.map(fresh, range(len(_SEQUENCE))))
+
+    here = tmp_path / "in-process"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    for (code, argv), want in zip(_SEQUENCE, expected):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got = main(list(argv))
+        assert (got, out.getvalue(), err.getvalue(), _take_files(here)) == want
+        assert got == code, argv
+    assert [sorted(w[3]) for w in expected[:2]] == [["cert.json"], []]

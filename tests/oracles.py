@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from etaprover import Cusp, EtaProduct, QSeries, modular_function_check
+from etaprover import Cusp, EtaProduct, QSeries, arith, modular_function_check
 
 # -- dense integer-exponent polynomial helpers --------------------------------
 
@@ -193,24 +193,6 @@ def random_eta_product(rng: random.Random, max_t: int = 12,
     return EtaProduct(factors)
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    return out + [n] * (n > 1)
-
-
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n, v = n // p, v + 1
-    return v
-
-
 def sampled_modular_product(rng: random.Random, level: int) -> EtaProduct:
     """A modular function on Gamma0(level): two to four eta factors over
     divisors of the level, every exponent but the last two drawn in -12..12.
@@ -221,14 +203,13 @@ def sampled_modular_product(rng: random.Random, level: int) -> EtaProduct:
     congruences in x mod 24, so one full residue system holds every
     solution; a draw of divisors with none is drawn again.  Needs no pool,
     so large levels are cheap; levels 1 and 2 have no such product."""
-    divs = divisors(level)
-    primes = _prime_divisors(level)
+    divs, primes = arith.divisors(level), arith.prime_factors(level)
     for _ in range(10_000):
         ts = rng.sample(divs, min(len(divs), rng.randint(2, 4)))
         head = [rng.randint(-12, 12) for _ in ts[2:]]
         # each condition as (weight of every factor, modulus)
         conditions = [(ts, 24), ([level // t for t in ts], 24)] + [
-            ([_valuation(t, p) for t in ts], 2) for p in primes]
+            ([arith.nu(p, t) for t in ts], 2) for p in primes]
         solutions = []
         for x in range(-12, 12):
             rs = head + [x, -sum(head) - x]

@@ -50,7 +50,7 @@ def _lattice24(e: Exponent) -> int:
 
 def _coeff(c: Coefficient) -> Coefficient:
     """Validate a coefficient and collapse integral Fractions to int."""
-    if isinstance(c, Fraction):
+    if type(c) is not int and isinstance(c, Fraction):  # int skips the ABC check
         return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
         return c

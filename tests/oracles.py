@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
+from operator import mul
 
 from etaprover import Cusp, EtaProduct, QSeries, arith, modular_function_check
+from etaprover.errors import NotAnEtaProductError
 
 # -- dense integer-exponent polynomial helpers --------------------------------
 
@@ -232,4 +234,61 @@ def random_modular_product(rng: random.Random, level: int) -> EtaProduct:
         base = sampled_modular_product(rng, level)
         ep = ep * (base ** rng.choice([-2, -1, 1, 1, 2]))
     assert modular_function_check(ep, level).invariant
+    return ep
+
+
+# -- reference factorization ------------------------------------------------------
+
+
+def eta_factorize_logspace(f: QSeries, depth=None) -> EtaProduct:
+    """The library's earlier ``eta_factorize``, kept as a reference: the
+    whole stripping runs on b = q*u'/u, computed by an O(L^2) division of the
+    residual u = 1 + ... before the first step.  Results and error texts
+    must match ``eta_factorize`` exactly."""
+    if depth is None:
+        if f.trunc is None:
+            raise ValueError("depth is required to factorize an exact series")
+        depth = f.trunc
+    lt = f.leading_term()
+    if lt is None:
+        raise NotAnEtaProductError("series is zero up to its truncation")
+    if lt.coefficient != 1:
+        raise NotAnEtaProductError(
+            f"leading coefficient is {lt.coefficient}, not 1")
+    e0 = lt.exponent
+    rel_depth = Fraction(depth) - e0
+    u = f.shifted(-e0).truncated(rel_depth)
+    confidence = int(rel_depth) // 2
+    size = max(0, ceil(u.trunc))
+    a = [0] * size  # u as a dense list
+    for e, c in u.terms():
+        if e.denominator != 1:
+            raise NotAnEtaProductError(
+                f"residual exponent q^{e} off the integer lattice")
+        a[int(e)] = c
+    b = [0] * size  # from n*a[n] = sum_{k=1..n} b[k]*a[n-k]
+    for n in range(1, size):
+        b[n] = n * a[n] - sum(map(mul, b, a[n::-1]))
+    factors: list[tuple[int, int]] = []
+    for n in range(1, size):
+        if not b[n]:
+            continue
+        c = Fraction(b[n], n)
+        if c.denominator != 1:
+            raise NotAnEtaProductError(
+                f"non-integer coefficient {c} at q^{n}")
+        if n > confidence:
+            found = EtaProduct(factors)
+            raise NotAnEtaProductError(
+                f"unexplained term at q^{n} beyond the confidence bound "
+                f"q^{confidence}; confirmed factors so far: {found}")
+        factors.append((n, -c.numerator))
+        for d in range(n, size, n):
+            for m in range(d, size, d):
+                b[m] -= c.numerator * d
+    ep = EtaProduct(factors)
+    if ep.leading_exponent != e0:
+        raise NotAnEtaProductError(
+            f"leading power q^{e0} does not match the factored prefactor "
+            f"q^{ep.leading_exponent}")
     return ep

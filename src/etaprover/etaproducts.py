@@ -10,12 +10,12 @@ combination of eta-products plus an explicit rational constant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, isqrt, lcm
+from math import ceil, isqrt, lcm, sqrt
 from operator import mul
 from typing import Iterable, Optional, Union
 
 from .errors import NotAnEtaProductError
-from .qseries import QSeries, _euler_sweep, _lattice24
+from .qseries import QSeries, _euler_power, _euler_sweep, _lattice24
 
 __all__ = ["EtaProduct", "EtaCombo", "eta_factorize"]
 
@@ -124,9 +124,14 @@ class EtaProduct:
     def _expand24(self, d24: int, s24: int) -> QSeries:
         """Expansion below q^(d24/24), with q^(s24/24) for the prefactors."""
         size = max(0, -(-(d24 - s24) // 24))
-        a = [1] + [0] * (size - 1) if size else []
+        # Seed the list with the factor whose sweeps would cost most.
+        _, t0, r0 = max(((sum(divmod(abs(r), 3)) / sqrt(t), t, r)
+                         for t, r in self._factors if t < size), default=(0, 1, 0))
+        a = [0] * size
+        a[::t0] = _euler_power(r0, -(-size // t0))
         for t, r in self._factors:
-            _euler_sweep(a, t, r)
+            if t != t0:
+                _euler_sweep(a, t, r)
         return QSeries._from24({s24 + 24 * n: c for n, c in enumerate(a)}, d24)
 
     def expand(self, depth) -> QSeries:

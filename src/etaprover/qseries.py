@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .arith import check_positive
@@ -437,24 +439,57 @@ def _euler_sweep(a: list, t: int, r: int) -> None:
     """Multiply the dense series ``a`` (a[n] is the coefficient of q^n) in
     place by prod_{n>=1} (1 - q^(t*n))^r, truncated at its length: one sweep
     with Jacobi's cube per full three of |r|, one with the pentagonal series
-    per unit left.  A product sweeps down the list and a quotient up it, so
-    each read sees the old value or the finished quotient as needed."""
+    per unit left.  A product reads only old values, so it adds each term as
+    one shifted copy of the list; a quotient sweeps up the list, so that each
+    read sees the finished quotient."""
     if len(a) <= t:
         return
     limit = -(-len(a) // t)
-    order = range(len(a) - 1, t - 1, -1) if r > 0 else range(t, len(a))
     cubes, ones = divmod(abs(r), 3)
     for series, count in ((_jacobi_cube(limit), cubes),
                           (_pentagonal(limit), ones)):
         terms = [(t * n, c if r > 0 else -c) for n, c in series[1:]]
         for _ in range(count):
-            for n in order:
+            if r > 0:
+                old = a[:]
+                for e, c in terms:
+                    a[e:] = map(add if c > 0 else sub, a[e:], old) if c * c == 1 \
+                        else map(add, a[e:], map(mul, old, repeat(c)))
+                continue
+            for n in range(t, len(a)):
                 s = 0
                 for e, c in terms:
                     if e > n:
                         break
                     s += c * a[n - e]
                 a[n] += s
+
+
+# Dense prod_{n>=1} (1 - q^n)^r by r, shared by every expansion in the
+# process, since (q^t;q^t)^r is this series spread out.  Filled on demand, so
+# import does no work.  A deep proof keeps under ten entries of at most about
+# 2100 coefficients; the caps bound what a stream of distinct exponents or
+# depths can hold (least recently used out, a longer request not kept).
+_POWERS: dict[int, list] = {}
+_MAX_ENTRIES, _MAX_COEFFS = 32, 16384
+
+
+def _euler_power(r: int, size: int) -> list:
+    """A fresh dense list of prod_{n>=1} (1 - q^n)^r below q^size."""
+    a = _POWERS.pop(r, None)
+    if a is None or len(a) < size:
+        if sum(divmod(abs(r), 3)) > 2:  # Miller's cost does not grow with |r|
+            u = euler_product(1, size)._unit_pow(r)
+            c = dict(zip(u._e, u._c))
+            a = [c.get(24 * n, 0) for n in range(size)]
+        else:
+            a = [1] + [0] * (size - 1)
+            _euler_sweep(a, 1, r)
+    if len(a) <= _MAX_COEFFS:
+        _POWERS[r] = a
+        while len(_POWERS) > _MAX_ENTRIES or sum(map(len, _POWERS.values())) > _MAX_COEFFS:
+            del _POWERS[next(iter(_POWERS))]
+    return a[:size]
 
 
 def euler_product(t: int, depth: Exponent) -> QSeries:

@@ -292,3 +292,31 @@ def eta_factorize_logspace(f: QSeries, depth=None) -> EtaProduct:
             f"leading power q^{e0} does not match the factored prefactor "
             f"q^{ep.leading_exponent}")
     return ep
+
+
+# -- reference sweep -------------------------------------------------------------
+
+
+def euler_sweep_scalar(a: list, t: int, r: int) -> None:
+    """The library's earlier ``_euler_sweep``, kept as a reference: every
+    sweep, product or quotient, is one scalar loop over the list.  A product
+    runs from the top down, so each read sees an old value.  The library now
+    adds a product's terms as shifted copies of the list."""
+    from etaprover.qseries import _jacobi_cube, _pentagonal
+
+    if len(a) <= t:
+        return
+    limit = -(-len(a) // t)
+    order = range(len(a) - 1, t - 1, -1) if r > 0 else range(t, len(a))
+    cubes, ones = divmod(abs(r), 3)
+    for series, count in ((_jacobi_cube(limit), cubes),
+                          (_pentagonal(limit), ones)):
+        terms = [(t * n, c if r > 0 else -c) for n, c in series[1:]]
+        for _ in range(count):
+            for n in order:
+                s = 0
+                for e, c in terms:
+                    if e > n:
+                        break
+                    s += c * a[n - e]
+                a[n] += s

@@ -8,16 +8,23 @@ compared with the old greedy stripping done by that same path, down to the
 text of every error.
 """
 
+import subprocess
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from etaprover import EtaCombo, EtaProduct, QSeries, eta_factorize, euler_product
 from etaprover.errors import NotAnEtaProductError
-from etaprover.qseries import _euler_sweep, _jacobi_cube, _pentagonal
+from etaprover import qseries
+from etaprover.qseries import (_POWERS, _euler_power, _euler_sweep, _jacobi_cube,
+                               _pentagonal)
 
-from oracles import eta_quotient_brute, euler_brute, pdiv, pmul, ppow
+from oracles import (eta_quotient_brute, euler_brute, euler_sweep_scalar, pdiv,
+                     pmul, ppow)
 
 F = Fraction
 
@@ -142,6 +149,20 @@ def test_sweep_property_matches_brute(a, t, r):
     want = pmul(dense, power, depth) if r >= 0 else pdiv(dense, power, depth)
     _euler_sweep(a, t, r)
     assert {n: c for n, c in enumerate(a) if c} == want
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=60),
+       st.integers(1, 6), st.integers(-8, 8), st.booleans())
+def test_sweep_matches_scalar_loop(a, t, r, rational):
+    # the shifted whole-list adds of a product against the old scalar loop,
+    # cube sweeps (|r| >= 3) included
+    if rational:
+        a = [F(c, 1 + c % 7) for c in a]
+    want = list(a)
+    euler_sweep_scalar(want, t, r)
+    _euler_sweep(a, t, r)
+    assert a == want
+    assert [type(c) for c in a] == [type(c) for c in want]
 
 
 # -- products: kernel, brute oracle and the multiply/power path ----------------------
@@ -294,3 +315,131 @@ def test_factorize_property_matches_stripping(terms, trunc, slack):
     depth = None if slack is None else trunc + slack
     assert outcome(eta_factorize, series, depth) == \
         outcome(strip_factorize, series, depth)
+
+
+# -- the table of Euler-product powers ------------------------------------------------
+
+
+def assert_caps():
+    assert len(_POWERS) <= qseries._MAX_ENTRIES
+    assert sum(map(len, _POWERS.values())) <= qseries._MAX_COEFFS
+
+
+def evict(base: int) -> None:
+    """Request enough fresh powers to push every older entry out."""
+    for r in range(base, base + qseries._MAX_ENTRIES + 1):
+        _euler_power(r, 2)
+        assert_caps()
+    _euler_power(base - 1, qseries._MAX_COEFFS)
+    assert_caps()
+
+
+@contextmanager
+def small_caps():
+    """Shrink the caps, so that eviction is reached within a test."""
+    with mock.patch.object(qseries, "_MAX_ENTRIES", 6), \
+            mock.patch.object(qseries, "_MAX_COEFFS", 300):
+        yield
+
+
+CACHE_STATES = ["cleared", "warm", "longer first", "shorter first", "evicted"]
+
+
+def expand_in_state(ep: EtaProduct, depth: int, state: str) -> QSeries:
+    _POWERS.clear()
+    if state == "warm":
+        ep.expand_no_prefactor(depth)
+    elif state == "longer first":
+        ep.expand_no_prefactor(depth + 37)
+    elif state == "shorter first":
+        ep.expand_no_prefactor(depth // 2)
+    elif state == "evicted":
+        ep.expand_no_prefactor(depth)
+        evict(1000)
+    got = ep.expand_no_prefactor(depth)
+    assert_caps()
+    return got
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(st.integers(1, 9), st.integers(-12, 12)), max_size=4),
+       st.integers(0, 50), st.sampled_from([None, 1, -1]), st.integers(0, 3),
+       st.sampled_from(CACHE_STATES))
+@example([(1, -1)], 40, None, 0, "warm")  # a single factor
+@example([(3, 5), (2, -7)], 50, None, 0, "evicted")  # no t = 1 factor
+@example([(1, 40), (2, -8)], 30, -1, 0, "longer first")  # Miller fills
+@example([(4, 2)], 20, 1, 0, "shorter first")  # huge |r| with t = size
+def test_expand_in_every_table_state(factors, depth, huge, offset, state):
+    with small_caps():
+        if huge is not None:  # a factor at t >= size is 1 below q^depth
+            factors = factors + [(max(depth, 1) + offset, huge * 10 ** 9)]
+        ep = EtaProduct(factors)
+        got = expand_in_state(ep, depth, state)
+        assert same(got, chain_expand(ep, depth, prefactor=False))
+        live = [(t, r) for t, r in ep.factors if t < depth]
+        assert {int(e): c for e, c in got.terms()} == \
+            eta_quotient_brute(live, depth)
+
+
+@given(factor_lists, lattice_depths, st.sampled_from(CACHE_STATES))
+def test_expand_with_prefactor_in_every_table_state(factors, depth, state):
+    ep = EtaProduct(factors)
+    want = chain_expand(ep, depth)
+    _POWERS.clear()
+    if state != "cleared":
+        ep.expand(depth + {"longer first": 30, "shorter first": -30}.get(state, 0))
+    if state == "evicted":
+        with small_caps():
+            evict(-500)
+    assert same(ep.expand(depth), want)
+
+
+@pytest.mark.parametrize("r", [-40, -8, -7, -5, -4, -3, -1, 1, 2, 5, 9, 25])
+def test_euler_power_matches_brute_by_either_fill(r):
+    # |r| in 5, 7, 8, 9, 25, 40 fills by Miller's recurrence, the rest by sweeps
+    depth = 45
+    power = ppow(euler_brute(1, depth), abs(r), depth)
+    want = power if r > 0 else pdiv({0: 1}, power, depth)
+    got = _euler_power(r, depth)
+    assert {n: c for n, c in enumerate(got) if c} == want
+    assert len(got) == depth
+    assert _euler_power(r, 7) == got[:7]  # read from the stored entry
+
+
+def test_returned_lists_are_not_the_stored_ones():
+    ep = EtaProduct.from_flat([5, 6, 1, -6])
+    want = ep.expand_no_prefactor(60)
+    for r, size in ((-6, 60), (-6, 20), (6, 12)):
+        a = _euler_power(r, size)
+        a[:] = [7] * len(a)
+        a.append(11)
+    assert ep.expand_no_prefactor(60) == want
+    assert _euler_power(-6, 3) == [1, 6, 27]
+
+
+def test_table_stays_within_its_caps():
+    for size in (10, 300):
+        for r in range(-40, 41):
+            _euler_power(r, size)
+            assert_caps()
+        assert len(_POWERS) == qseries._MAX_ENTRIES
+    for r in (1, -1, 2, -2, 3, -3):
+        _euler_power(r, 3000)
+        assert_caps()
+    assert list(_POWERS) == [-1, 2, -2, 3, -3]
+    _POWERS.clear()
+    # a request longer than the coefficient cap is computed and not kept
+    assert len(_euler_power(0, qseries._MAX_COEFFS + 1)) == qseries._MAX_COEFFS + 1
+    assert not _POWERS
+    _euler_power(-1, 50)
+    _euler_power(-2, 50)
+    _euler_power(-1, 5)  # a read makes -1 the most recently used
+    assert list(_POWERS) == [-2, -1]
+
+
+def test_import_fills_no_table():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import etaprover.cli, etaprover.qseries as q; print(len(q._POWERS))"],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"

@@ -124,7 +124,7 @@ class EtaProduct:
     def _expand24(self, d24: int, s24: int) -> QSeries:
         """Expansion below q^(d24/24), with q^(s24/24) for the prefactors."""
         size = max(0, -(-(d24 - s24) // 24))
-        # Seed the list with the factor whose sweeps would cost most.
+        # Seed the list with the factor whose sweeps would cost most, or with 1.
         _, t0, r0 = max(((sum(divmod(abs(r), 3)) / sqrt(t), t, r)
                          for t, r in self._factors if t < size), default=(0, 1, 0))
         a = [0] * size

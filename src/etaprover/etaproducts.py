@@ -10,12 +10,12 @@ combination of eta-products plus an explicit rational constant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, isqrt, lcm, sqrt
+from math import ceil, isqrt, lcm
 from operator import mul
 from typing import Iterable, Optional, Union
 
 from .errors import NotAnEtaProductError
-from .qseries import QSeries, _euler_power, _euler_sweep, _lattice24
+from .qseries import QSeries, _euler_sweep, _lattice24, _times_product
 
 __all__ = ["EtaProduct", "EtaCombo", "eta_factorize"]
 
@@ -124,15 +124,9 @@ class EtaProduct:
     def _expand24(self, d24: int, s24: int) -> QSeries:
         """Expansion below q^(d24/24), with q^(s24/24) for the prefactors."""
         size = max(0, -(-(d24 - s24) // 24))
-        # Seed the list with the factor whose sweeps would cost most, or with 1.
-        _, t0, r0 = max(((sum(divmod(abs(r), 3)) / sqrt(t), t, r)
-                         for t, r in self._factors if t < size), default=(0, 1, 0))
-        a = [0] * size
-        a[::t0] = _euler_power(r0, -(-size // t0))
-        for t, r in self._factors:
-            if t != t0:
-                _euler_sweep(a, t, r)
-        return QSeries._from24({s24 + 24 * n: c for n, c in enumerate(a)}, d24)
+        a = [1][:size] + [0] * (size - 1)
+        _times_product(a, self._factors)
+        return QSeries._from_list(a, s24, d24)
 
     def expand(self, depth) -> QSeries:
         """q-expansion including the fractional prefactor q^(sum t*r/24)."""
@@ -267,16 +261,16 @@ class EtaCombo:
     def __pow__(self, n: int) -> "EtaCombo":
         if not isinstance(n, int):
             raise TypeError("combo exponent must be an int")
+        if not self._constant and len(self._terms) == 1:  # a monomial
+            return EtaCombo(0, [(a ** n, f ** n) for a, f in self._terms])
         if n < 0:
             return self.inverted() ** (-n)
-        out = EtaCombo(1)
-        base = self
-        m = n
-        while m:
-            if m & 1:
+        out, base = EtaCombo(1), self
+        while n:
+            if n & 1:
                 out = out * base
-            m >>= 1
-            if m:
+            n >>= 1
+            if n:
                 base = base * base
         return out
 

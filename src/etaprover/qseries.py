@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import repeat
-from math import gcd, isqrt
+from itertools import compress, repeat
+from math import gcd, isqrt, sqrt
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -105,6 +105,12 @@ class QSeries:
         s._c = c
         s._t = t
         return s
+
+    @classmethod
+    def _from_list(cls, a: list, s24: int, t24: int) -> "QSeries":
+        """sum a[n] q^(s24/24 + n), for ints a[n] below q^(t24/24), to there."""
+        e = compress(range(s24, s24 + 24 * len(a), 24), a)
+        return cls._raw(tuple(list(e)), tuple(list(compress(a, a))), t24)
 
     @classmethod
     def _from24(cls, acc: dict, t24: Optional[int]) -> "QSeries":
@@ -367,25 +373,19 @@ class QSeries:
             if e % 24:
                 raise FractionalExponentError(
                     f"sift requires integer exponents, found q^{Fraction(e, 24)}")
-        out: dict[int, Coefficient] = {}
-        for e, c in zip(self._e, self._c):
-            n = e // 24
-            if n % p == j:
-                out[24 * ((n - j) // p)] = c
-        if self._t is None:
-            t = None
-        else:
-            t = 24 * (-(-(self._t - 24 * j) // (24 * p)))
-        return QSeries._from24(out, t)
+        step, j24 = 24 * p, 24 * j
+        keep = [k for k, e in enumerate(self._e) if (e - j24) % step == 0]
+        t = None if self._t is None else 24 * -(-(self._t - j24) // step)
+        return QSeries._raw(tuple([(self._e[k] - j24) // p for k in keep]),
+                            tuple([self._c[k] for k in keep]), t)
 
     # -- display -------------------------------------------------------------
 
     @staticmethod
     def _fmt_exponent(e24: int) -> str:
-        f = Fraction(e24, 24)
-        if f.denominator == 1 and f >= 0:
-            return "q" if f == 1 else f"q^{f}"
-        return f"q^({f})"
+        if e24 >= 0 and e24 % 24 == 0:
+            return "q" if e24 == 24 else f"q^{e24 // 24}"
+        return f"q^({Fraction(e24, 24)})"
 
     def __str__(self) -> str:
         parts = []
@@ -490,6 +490,20 @@ def _euler_power(r: int, size: int) -> list:
         while len(_POWERS) > _MAX_ENTRIES or sum(map(len, _POWERS.values())) > _MAX_COEFFS:
             del _POWERS[next(iter(_POWERS))]
     return a[:size]
+
+
+def _times_product(a: list, factors: Iterable[tuple[int, int]]) -> None:
+    """Multiply the dense series ``a`` in place by prod_{n>=1} (1 - q^(t*n))^r
+    for every (t, r) in ``factors``, truncated at its length.  When ``a`` is 1,
+    the factor whose sweeps would cost most is read from the power table."""
+    unit = a[:1] == [1] and a.count(0) == len(a) - 1
+    _, t0, r0 = max(((sum(divmod(abs(r), 3)) / sqrt(t), t, r) for t, r in factors
+                     if unit and t < len(a)), default=(0, 0, 0))
+    if t0:
+        a[::t0] = _euler_power(r0, -(-len(a) // t0))
+    for t, r in factors:
+        if t != t0:
+            _euler_sweep(a, t, r)
 
 
 def euler_product(t: int, depth: Exponent) -> QSeries:

@@ -19,7 +19,7 @@ from .errors import PreconditionError
 from .etaproducts import EtaCombo, EtaProduct
 from .modularity import modular_function_check
 from .prover import ProofReport, _not_applicable, _valence_proof
-from .qseries import QSeries
+from .qseries import QSeries, _times_product
 
 __all__ = ["up_series", "up_order_lower_bound", "prove_up_identity"]
 
@@ -88,6 +88,24 @@ def _gordon_hughes_bound(ep: EtaProduct, cusp: Cusp, level: int,
                gamma0_cusp_order(ep, pN, Cusp(1, p * d)))
 
 
+def _up_expansion(ep: EtaProduct, p: int, depth: int) -> QSeries:
+    """up_series(ep.expand(p * depth), p), for ep with integer s = sum(t*r)/24.
+
+    U_p(q^s H(q) G(q^p)) = G(q) U_p(q^s H(q)) for H the factors with p not
+    dividing t: only H is expanded to p times the depth, and G's factors
+    (t/p, r) sweep the sifted list, whose entry i is at q^(n0 + i)."""
+    s = ep.degree24 // 24
+    n0 = -(-s // p)
+    h = EtaProduct([(t, r) for t, r in ep.factors if t % p])
+    sifted = up_series(
+        h.expand_no_prefactor(p * (depth - 1) - s + 1)._shift(24 * s), p)
+    a = [0] * max(0, depth - n0)
+    for e, c in zip(sifted._e, sifted._c):
+        a[e // 24 - n0] = c
+    _times_product(a, [(t // p, r) for t, r in ep.factors if t % p == 0])
+    return QSeries._from_list(a, 24 * n0, 24 * depth)
+
+
 def prove_up_identity(ep: EtaProduct, p: int, rhs: EtaCombo, level: int,
                       margin: int = 10, verify: bool = True) -> ProofReport:
     """Prove or refute U_p(ep) = rhs on Gamma0(level).
@@ -111,7 +129,7 @@ def prove_up_identity(ep: EtaProduct, p: int, rhs: EtaCombo, level: int,
             up_p=p)
 
     def vanishing(depth: int) -> QSeries:
-        lhs = up_series(ep.expand(Fraction(p * depth)), p)
+        lhs = _up_expansion(ep, p, depth)
         return (lhs - rhs.expand(Fraction(depth))).truncated(Fraction(depth))
 
     return _valence_proof(

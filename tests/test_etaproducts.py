@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etaprover import EtaCombo, EtaProduct, QSeries, eta_factorize, eta_series
 from etaprover.errors import NotAnEtaProductError
@@ -229,3 +230,41 @@ def test_factorize_round_trip_random():
         ep = random_eta_product(rng)
         depth = 24 * max(t for t, _ in ep.factors)
         assert eta_factorize(ep.expand(F(depth))) == ep
+
+
+# -- powers of combos ----------------------------------------------------------
+
+
+def _binary_power(combo: EtaCombo, n: int) -> EtaCombo:
+    """Powers by squaring over ``EtaCombo.__mul__``, as ``__pow__`` computed
+    every power before monomials got a direct path."""
+    if n < 0:
+        return _binary_power(combo.inverted(), -n)
+    out, base = EtaCombo(1), combo
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 10**6),
+       st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool),
+       st.integers(-6, 8))
+def test_monomial_power_matches_binary_powering(seed, coefficient, n):
+    product = random_eta_product(random.Random(seed), max_factors=4)
+    combo = EtaCombo(0, [(coefficient, product)])
+    got = combo ** n
+    assert got == _binary_power(combo, n)
+    assert got.constant == (1 if n == 0 else 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_sum_and_constant_powers_unchanged(n):
+    f, g = EtaProduct.from_flat([6, -2, 3, -2, 2, 2, 1, 2]), EtaProduct.from_flat([2, 4, 1, -4])
+    for combo in (EtaCombo(9, [(1, f)]), EtaCombo(0, [(1, f), (-2, g)]), EtaCombo(F(2, 3))):
+        assert combo ** n == _binary_power(combo, n)
+    assert EtaCombo(F(2, 3)) ** -3 == EtaCombo(F(27, 8))

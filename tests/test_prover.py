@@ -1,7 +1,9 @@
 """The linear identity prover: pipeline fixtures and soundness properties."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,16 +11,23 @@ from etaprover import (
     Cusp,
     EtaCombo,
     EtaProduct,
+    QSeries,
     Verdict,
     format_order_table,
     normalize_identity,
     parse_program,
     prove_identity,
+    prove_up_identity,
     sum_of_column_minima,
 )
 from etaprover.cusps import cusp_set, gamma0_cusp_order
-from etaprover.errors import EmptyIdentityError, MisalignedRowsError
-from etaprover.prover import cusp_order_rows
+from etaprover import prover as prover_module
+from etaprover.errors import (
+    EmptyIdentityError,
+    InternalInconsistencyError,
+    MisalignedRowsError,
+)
+from etaprover.prover import _valence_proof, cusp_order_rows
 
 from oracles import (
     random_eta_product,
@@ -273,3 +282,82 @@ def test_soundness_gate_random():
             continue
         report = prove_identity(combo, level)
         assert report.verdict is Verdict.NOT_APPLICABLE
+
+
+# -- the refutation probe through q^required -------------------------------------
+
+RAMANUJAN = Path(__file__).resolve().parent.parent / "identities" / "ramanujan_pq.eta"
+PQ_TEXT = RAMANUJAN.read_text()
+
+
+def _pq(nine: int):
+    return parse_program(PQ_TEXT.replace("+ 9/", f"+ {nine}/")).combo
+
+
+def _u7(seven: int, fortynine: int) -> tuple:
+    return (EtaProduct.from_flat([49, 1, 1, -1]), 7, EtaCombo(0, [
+        (seven, EtaProduct.from_flat([7, 4, 1, -4])),
+        (fortynine, EtaProduct.from_flat([7, 8, 1, -8]))]), 7)
+
+
+# (command, prover arguments, margin, where the failure lies)
+PROBE_CASES = [
+    ("prove", (_pq(10), 6), 10, "past the probe"),    # probe 1, fails at q^1
+    ("prove", (_pq(10), 6), 380, "inside the probe"),  # probe 3
+    ("prove", (_pq(8), 6), 40, "inside the probe"),
+    ("prove", (_pq(9), 6), 380, "proved"),
+    ("prove-up", _u7(6, 49), 300, "inside the probe"),
+    ("prove-up", _u7(7, 50), 9, "past the probe"),     # probe 1 = q^0 only
+    ("prove-up", _u7(7, 49), 100, "proved"),
+]
+
+
+def _certificate(command, args, margin):
+    prover = prove_up_identity if command == "prove-up" else prove_identity
+    return prover(*args, margin=margin).to_json(command, "", margin)
+
+
+@pytest.mark.parametrize("command, args, margin, where", PROBE_CASES)
+def test_probe_leaves_certificates_byte_identical(command, args, margin, where,
+                                                  monkeypatch):
+    depths = []
+    expand = EtaCombo.expand
+    monkeypatch.setattr(EtaCombo, "expand",
+                        lambda self, depth: depths.append(depth) or expand(self, depth))
+    with_probe = _certificate(command, args, margin)
+    probed = list(depths)
+    monkeypatch.setattr(prover_module, "_PROBE_SHARE", 10**9)  # probe < 1: off
+    depths.clear()
+    assert _certificate(command, args, margin) == with_probe
+    assert len(depths) == 1
+    report = json.loads(with_probe)
+    assert report["verdict"] == ("proved" if where == "proved" else "refuted")
+    if where == "inside the probe":  # only the short series was expanded
+        assert probed == [Fraction(min(report["required_depth"] + 1,
+                                       (report["checked_depth"] + 1) // 8))]
+    else:
+        assert len(probed) == 2 and probed[1] == report["checked_depth"] + 1
+
+
+def test_probe_leaves_refuted_golden_byte_identical(monkeypatch):
+    golden = (RAMANUJAN.parent.parent / "tests" / "golden"
+              / "prove_pq_refuted.json").read_text()
+    source = json.loads(golden)["input"]
+    cert = prove_identity(parse_program(source).combo, 6).to_json("prove", source, 10)
+    monkeypatch.setattr(prover_module, "_PROBE_SHARE", 10**9)
+    assert cert == golden
+    assert prove_identity(parse_program(source).combo, 6).to_json(
+        "prove", source, 10) == golden
+
+
+@pytest.mark.parametrize("truncates", [True, False])
+def test_nonzero_past_required_still_raises(truncates):
+    """A vanishing series whose first nonzero lies past q^required contradicts
+    the valence bound, whether the probe or the full expansion meets it."""
+    combo = normalize_identity(_pq(9))
+    def vanishing(depth):
+        s = QSeries.monomial(1, 5)
+        return s.truncated(depth) if truncates else s
+    with pytest.raises(InternalInconsistencyError, match="q\\^5"):
+        _valence_proof(combo, 6, vanishing, margin=40, verify=True,
+                       constants_warning=False)

@@ -335,3 +335,33 @@ def test_all_exponents_stay_on_the_lattice():
         for s in (a + b, a * b, a - b):
             for e, _ in s.terms():
                 assert (24 * e).denominator == 1
+
+
+# -- dense lists and exponent printing ----------------------------------------
+
+
+def _fmt_exponent_via_fraction(e24: int) -> str:
+    """The formatter as it was written before integer exponents got a
+    direct path: every exponent went through a Fraction."""
+    f = Fraction(e24, 24)
+    if f.denominator == 1 and f >= 0:
+        return "q" if f == 1 else f"q^{f}"
+    return f"q^({f})"
+
+
+def test_fmt_exponent_matches_fraction_formatter():
+    for e24 in range(-100, 101):
+        assert QSeries._fmt_exponent(e24) == _fmt_exponent_via_fraction(e24)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.integers(-3, 3) | st.integers(-10**30, 10**30), max_size=30),
+       st.integers(-60, 60), st.integers(0, 23))
+def test_from_list_matches_dict_constructor(a, s24, slack):
+    t24 = s24 + 24 * max(len(a) - 1, 0) + 1 + slack  # last entry below t24
+    got = QSeries._from_list(a, s24, t24)
+    want = QSeries._from24({s24 + 24 * n: c for n, c in enumerate(a)}, t24)
+    assert got == want
+    assert [type(c) for c in got._c] == [type(c) for c in want._c]
+    assert all(type(c) is int for c in got._c)
+    assert type(got._e) is type(got._c) is tuple

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etaprover import (
     Cusp,
@@ -22,6 +23,7 @@ from etaprover import (
 )
 from etaprover.arith import nu, prime_factors
 from etaprover.errors import FractionalExponentError, PreconditionError
+from etaprover.up import _up_expansion
 
 from oracles import gordon_hughes_brute, sampled_modular_product
 
@@ -295,3 +297,64 @@ def test_u5_of_recognized_images_dominates_bounds():
         assert report.verdict is Verdict.PROVED
         assert report.up_bounds == tuple(up_order_lower_bound(ep, c, 10, 5)
                                          for c in report.cusps)
+
+
+# -- the U_p left side: factors with p | t swept after the sift -----------------
+
+
+def _up_reference(ep: EtaProduct, p: int, depth: int) -> QSeries:
+    """U_p by definition: the whole product expanded to p times the depth."""
+    return up_series(ep.expand(F(p * depth)), p)
+
+
+def _coprime_level(rng, p):
+    return rng.choice([n for n in range(3, 30) if n % p])
+
+
+def _drawn_product(rng, p, kind):
+    """A product with integer s = sum(t*r)/24: some factors with p | t and
+    some without ("mixed"), none with p | t, or only such factors."""
+    if kind == "mixed":
+        return sampled_modular_product(rng, p * rng.randint(2, 6))
+    ep = sampled_modular_product(rng, _coprime_level(rng, p))
+    if kind == "coprime":
+        return ep
+    return EtaProduct([(p * t, r) for t, r in ep.factors])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 5, 7]),
+       st.sampled_from(["mixed", "coprime", "divisible"]), st.integers(0, 40))
+def test_up_expansion_matches_definition(seed, p, kind, depth):
+    ep = _drawn_product(random.Random(seed), p, kind)
+    assert _up_expansion(ep, p, depth) == _up_reference(ep, p, depth)
+
+
+@pytest.mark.parametrize("flat, p", [
+    ([5, -6, 1, 6], 5),               # s = -1, mixed
+    ([1, -48], 2),                    # s = -2, no factor with p | t
+    ([3, -8, 1, -24], 3),            # s = -2, mixed
+    ([2, 24, 1, -48], 2),             # s = 0, mixed
+    ([10, 12, 5, -24], 5),            # s = 0, only factors with p | t
+    ([50, -1, 25, 1, 2, 1, 1, -1], 5),  # s = -1, the README's level-50 product
+    ([25, 1, 1, -1], 5),              # s = 1, mixed
+    ([1, 48], 2),                     # s = 2, no factor with p | t
+    ([7, 24], 7),                     # s = 7, only factors with p | t
+])
+def test_up_expansion_by_sign_of_s(flat, p):
+    ep = EtaProduct.from_flat(flat)
+    s = ep.degree24 // 24
+    for depth in range(0, 30):
+        got = _up_expansion(ep, p, depth)
+        assert got == _up_reference(ep, p, depth)
+        if depth <= -(-s // p):  # the sifted list is empty
+            assert got.is_zero() and got._t == 24 * depth
+
+
+def test_up_expansion_sift_goes_through_up_series(monkeypatch):
+    import etaprover.up as up_module
+    calls = []
+    monkeypatch.setattr(up_module, "up_series",
+                        lambda series, p: calls.append(p) or up_series(series, p))
+    assert _up_expansion(EP_g100, 5, 12) == _up_reference(EP_g100, 5, 12)
+    assert calls == [5]

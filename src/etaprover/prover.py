@@ -49,7 +49,7 @@ __all__ = [
     "format_order_table",
 ]
 
-_PROBE_SHARE = 8  # the refutation probe's cap, 1/8 of the depth: _valence_proof
+_PROBE_SHARE = 8  # _valence_proof's probe expands at most 1/8 of the depth
 
 
 class Verdict(enum.Enum):
@@ -247,10 +247,10 @@ def _valence_proof(combo: EtaCombo, level: int,
     nonzero coefficient past that point but below q^depth contradicts the
     valence bound and is raised as an internal error.
 
-    So a false identity fails through q^floor(-B): the series is first expanded
-    only to there, capped at 1/8 of the depth, and its leading term is the full
-    series' one.  PROVED still checks every coefficient below q^depth.  Sweeps
-    cost about L^1.5, so this adds at most about 4% to a true identity.
+    A false identity thus fails through q^floor(-B), so the series is first
+    expanded only to there, capped at 1/8 of the depth: a nonzero term there
+    leads the full series too.  PROVED still checks all of it.  Sweeps cost
+    about L^1.5, so this adds at most about 4% to a true identity.
     """
     reason = _modularity_failures(combo.terms, level)
     if reason:

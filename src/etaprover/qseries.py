@@ -108,7 +108,7 @@ class QSeries:
 
     @classmethod
     def _from_list(cls, a: list, s24: int, t24: int) -> "QSeries":
-        """sum a[n] q^(s24/24 + n), for ints a[n] below q^(t24/24), to there."""
+        """sum a[n] q^(s24/24 + n) + O(q^(t24/24)) for a list of ints below it."""
         e = compress(range(s24, s24 + 24 * len(a), 24), a)
         return cls._raw(tuple(list(e)), tuple(list(compress(a, a))), t24)
 

@@ -31,9 +31,8 @@ from .parser import UpIdentity, parse_expression, parse_program
 from .prover import (
     ProofReport,
     Verdict,
-    cusp_order_rows,
+    _order_table,
     format_order_table,
-    order_table,
     prove_identity,
 )
 # bench/tracing.py wraps this name here:
@@ -156,8 +155,7 @@ def _cmd_orders(args) -> int:
         raise NotAnEtaProductError("orders needs an eta-product term")
     if combo.constant == 0 and len(combo.terms) == 1:
         # one product times a scalar: the scalar does not change its orders
-        report = order_table(level, combo.terms,
-                             *cusp_order_rows(combo.terms, level))
+        report, _ = _order_table(level, combo.terms, constant=True)
         print(format_order_table(report))
         return 0
     report = prove_identity(combo, level, verify=False)

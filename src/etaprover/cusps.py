@@ -11,6 +11,9 @@ number of cusps rather than with N.
 
 Orders of eta-products at cusps are computed by the Ligozat formula, and the
 width-normalized order multiplies in the Biagioli fan width N/gcd(N, c^2).
+The provers' order table takes the same formula, and the Gordon-Hughes bound
+of U_p, as integer numerators over one denominator (``_ligozat_sum`` and
+``_gordon_hughes_numerator``).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .arith import check_positive, divisors
+from .arith import check_positive, divisors, nu
 from .etaproducts import EtaProduct
 
 __all__ = [
@@ -130,10 +133,39 @@ def cusp_order(ep: EtaProduct, cusp: Cusp) -> Fraction:
     common denominator 24 lcm(t).  At infinity this reduces to the leading
     q-exponent sum(t*r)/24.
     """
-    c = cusp.c
     m = lcm(*(t for t, _ in ep.factors))
-    return Fraction(sum(gcd(t, c) ** 2 * r * (m // t) for t, r in ep.factors),
-                    24 * m)
+    return Fraction(_ligozat_sum(ep.factors, cusp.c, m), 24 * m)
+
+
+def _ligozat_sum(factors, c: int, m: int) -> int:
+    """24*m times the invariant order at a cusp of denominator c, for m a
+    multiple of every t: sum of gcd(t, c)^2 * r * (m/t)."""
+    return sum(gcd(t, c) ** 2 * r * (m // t) for t, r in factors)
+
+
+def _gordon_hughes_numerator(factors, d: int, level: int, p: int,
+                             m: int) -> int:
+    """24*p*m times the Gordon-Hughes lower bound of ``up.up_order_lower_bound``
+    for U_p of the eta-product ``factors`` at a cusp b/d of Gamma0(level).
+
+    It depends only on d, since the order at a cusp depends only on its
+    reduced denominator.  For v = nu_p(d) > 0 the numerator b is prime to p,
+    so b/(pd) is already reduced.  For v = 0, gcd(b + kd, pd) = gcd(b + kd, p)
+    since b is prime to d, and exactly one k in 0..p-1 has p | b + kd: the
+    sweep meets denominator d once and pd p - 1 times, whatever b is.  So the
+    minimum over k is the minimum of the orders at denominators d and pd.
+    """
+    pn = p * level
+
+    def order(c):  # 24*m times the order on Gamma0(p*level)
+        return pn // gcd(pn, c * c) * _ligozat_sum(factors, c, m)
+
+    v = nu(p, d)
+    if 2 * v >= nu(p, level):
+        return order(p * d)
+    if v > 0:
+        return p * order(p * d)
+    return p * min(order(d), order(p * d))
 
 
 def gamma0_cusp_order(ep: EtaProduct, level: int, cusp: Cusp) -> Fraction:

@@ -12,23 +12,26 @@ vanishes.  By the weight-zero valence formula this is a complete proof, not
 numerical evidence; extra margin coefficients are checked as a safety net.
 The U_p prover in ``up`` runs the same core with the Gordon-Hughes bounds as
 an extra row of the order table, and the ``orders`` command prints the
-table that :func:`order_table` builds.
+table: :func:`_order_table` builds it for all three, in integers over one
+denominator, once per distinct cusp denominator.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import floor
+from math import floor, gcd, lcm
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .arith import check_positive
-from .cusps import Cusp, cusp_set, gamma0_cusp_order
-# bench/tracing.py wraps this name here:
-from .cusps import gamma0_cusp_orders  # noqa: F401
+from .cusps import Cusp, _gordon_hughes_numerator, _ligozat_sum, cusp_set
+# bench/tracing.py wraps these names here:
+from .cusps import gamma0_cusp_order, gamma0_cusp_orders  # noqa: F401
 from .errors import (
     EmptyIdentityError,
     InternalInconsistencyError,
@@ -43,8 +46,6 @@ __all__ = [
     "ProofReport",
     "normalize_identity",
     "sum_of_column_minima",
-    "cusp_order_rows",
-    "order_table",
     "prove_identity",
     "format_order_table",
 ]
@@ -137,12 +138,6 @@ def normalize_identity(combo: EtaCombo) -> EtaCombo:
     return EtaCombo(0, [(a / a0, f * f0_inv) for a, f in combo.terms])
 
 
-def _minima_and_bound(matrix) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Columnwise minima of equal-length order rows, and their sum B."""
-    minima = tuple([min(col) for col in zip(*matrix)])
-    return minima, sum(minima, Fraction(0))
-
-
 def sum_of_column_minima(
         rows: Sequence[Sequence[tuple[Cusp, Fraction]]]) -> Fraction:
     """Sum over cusp columns of the columnwise minimum order.
@@ -155,64 +150,76 @@ def sum_of_column_minima(
     for row in rows[1:]:
         if [s for s, _ in row] != cusps:
             raise MisalignedRowsError("order rows have different cusp sequences")
-    return _minima_and_bound([[v for _, v in row] for row in rows])[1]
+    return sum(map(min, zip(*[[v for _, v in row] for row in rows])),
+               Fraction(0))
 
 
-def _per_denominator(cusps: Sequence[Cusp],
-                     value: Callable[[Cusp], Fraction]) -> tuple[Fraction, ...]:
-    """``value(s)`` at every cusp s, for a ``value`` that depends only on the
-    denominator of s: evaluated at the first cusp of each denominator and
-    reused at the others."""
-    memo: dict[int, Fraction] = {}
-    for s in cusps:
-        if s.c not in memo:
-            memo[s.c] = value(s)
-    return tuple([memo[s.c] for s in cusps])
+def _order_table(level: int, terms: Sequence[tuple[Fraction, EtaProduct]],
+                 *, constant: bool, up=None, constants_warning: bool = False
+                 ) -> tuple[ProofReport, list[str]]:
+    """The order table and bound B of ``terms`` on Gamma0(level), as a
+    BOUND_ONLY report, and one message per term whose orders do not total
+    zero over all cusps, as a modular function's must.
 
-
-def cusp_order_rows(terms: Sequence[tuple[Fraction, EtaProduct]], level: int
-                    ) -> tuple[list[Cusp], list[tuple[Fraction, ...]]]:
-    """The cusps of Gamma0(level) and, once per term, the width-normalized
-    order of its product at every one of them, the infinite class included.
-
-    The Ligozat order and the fan width depend only on the denominator of
-    the cusp, so each order is evaluated once per distinct denominator."""
-    all_cusps = cusp_set(level)
-    return all_cusps, [
-        _per_denominator(all_cusps, lambda s: gamma0_cusp_order(f, level, s))
-        for _, f in terms]
-
-
-def order_table(level: int, terms: Sequence[tuple[Fraction, EtaProduct]],
-                all_cusps: Sequence[Cusp], rows: Sequence[Sequence[Fraction]],
-                *, constant: bool = True, up_row=None, up_p=None,
-                constants_warning: bool = False) -> ProofReport:
-    """The order table and bound B of ``terms``, as a BOUND_ONLY report.
-
-    ``all_cusps`` and ``rows`` come from :func:`cusp_order_rows`; the column
-    of the infinite class is dropped.  The column minima also take in the
-    Gordon-Hughes bound ``up_row(cusp)`` of U_``up_p`` when given, and the
-    zero row of the constant term when ``constant`` is set.  Like the order
-    rows, ``up_row`` depends only on the cusp's denominator and is evaluated
-    once per distinct denominator.
+    Orders depend only on the cusp's denominator, so each is an integer over
+    one denominator D = 24 * lcm(every t), computed once per distinct
+    denominator and weighted by its number of cusps in the totals and in B.
+    With ``up = (ep, p)`` the table takes in the Gordon-Hughes row of U_p ep
+    and D gains a factor p; with ``constant`` set it takes in the zero row
+    of the constant term.  The column of the infinite class is dropped, and
+    each distinct value is one ``Fraction``, shared by its cells.
     """
-    keep = [j for j, s in enumerate(all_cusps) if s.c != level]
-    cusps = tuple([all_cusps[j] for j in keep])
-    orders = tuple([tuple([row[j] for j in keep]) for row in rows])
-    up_bounds = None if up_row is None else _per_denominator(cusps, up_row)
-    matrix = list(orders)
-    if up_bounds is not None:
-        matrix.append(up_bounds)
+    all_cusps = cusp_set(level)
+    counts = Counter([s.c for s in all_cusps])
+    dens, weights = list(counts), list(counts.values())
+    finite = len(dens) - 1  # in cusp order, the infinite class (c = level) last
+    products = [f for _, f in terms] + ([up[0]] if up else [])
+    m = lcm(*[t for f in products for t, _ in f.factors])
+    p = up[1] if up else 1
+    den = 24 * p * m
+    # the Ligozat sum at c depends only on gcd(c, m), as every t divides m
+    gs = [gcd(c, m) for c in dens]
+    distinct = set(gs)
+    widths = [level // gcd(level, c * c) * p for c in dens]
+    rows = []
+    for _, f in terms:
+        sums = {g: _ligozat_sum(f.factors, g, m) for g in distinct}
+        rows.append([w * sums[g] for w, g in zip(widths, gs)])
+    bad = []
+    for i, ((_, f), row) in enumerate(zip(terms, rows), start=1):
+        total = sum(map(mul, row, weights))
+        if total:
+            bad.append(f"term {i} = {f} has total cusp order "
+                       f"{Fraction(total, den)}")
+    matrix = [row[:finite] for row in rows]
+    if up:
+        matrix.append([_gordon_hughes_numerator(up[0].factors, c, level, p, m)
+                       for c in dens[:finite]])
     if constant:
-        matrix.append((Fraction(0),) * len(cusps))
-    minima, bound = _minima_and_bound(matrix)
+        matrix.append([0] * finite)
+    minima = list(map(min, zip(*matrix)))
+    bound = Fraction(sum(map(mul, minima, weights)), den)
+
+    fracs: dict[int, Fraction] = {}
+
+    def spread(nums):  # one Fraction per value, at every cusp that has it
+        cells = []
+        for n, k in zip(nums, weights):
+            if n not in fracs:
+                fracs[n] = Fraction(n, den)
+            cells += [fracs[n]] * k
+        return tuple(cells)
+
     return ProofReport(
         level=level, verdict=Verdict.BOUND_ONLY, bound=bound,
-        required_depth=floor(-bound), checked_depth=-1, cusps=cusps,
+        required_depth=floor(-bound), checked_depth=-1,
+        cusps=tuple(all_cusps[:-1]),
         term_labels=tuple([str(f) for _, f in terms]),
-        term_coefficients=tuple([a for a, _ in terms]), term_orders=orders,
-        column_minima=minima, up_bounds=up_bounds, up_p=up_p,
-        constants_warning=constants_warning)
+        term_coefficients=tuple([a for a, _ in terms]),
+        term_orders=tuple([spread(row) for row in matrix[:len(terms)]]),
+        column_minima=spread(minima),
+        up_bounds=spread(matrix[len(terms)]) if up else None,
+        up_p=up[1] if up else None, constants_warning=constants_warning), bad
 
 
 def _modularity_failures(terms, level) -> Optional[str]:
@@ -236,13 +243,14 @@ def _not_applicable(level: int, reason: str, *, up_p=None) -> ProofReport:
 
 def _valence_proof(combo: EtaCombo, level: int,
                    vanishing: Callable[[int], QSeries], *, margin: int,
-                   verify: bool, constants_warning: bool, up_row=None,
-                   up_p=None) -> ProofReport:
+                   verify: bool, constants_warning: bool,
+                   up=None) -> ProofReport:
     """The proof both provers share, over the terms of ``combo``.
 
-    Newman-checks the terms, computes their cusp orders once, checks that
-    each totals zero, builds the order table and B (see :func:`order_table`)
-    and, when ``verify`` is set, checks that ``vanishing(depth)``, the
+    Newman-checks the terms, builds the order table and B, with the
+    Gordon-Hughes row of U_p ep when ``up = (ep, p)`` (see
+    :func:`_order_table`), checks that each term's orders total zero and,
+    when ``verify`` is set, checks that ``vanishing(depth)``, the
     series that must be 0 below q^depth, vanishes through q^floor(-B).  A
     nonzero coefficient past that point but below q^depth contradicts the
     valence bound and is raised as an internal error.
@@ -252,21 +260,16 @@ def _valence_proof(combo: EtaCombo, level: int,
     leads the full series too.  PROVED still checks all of it.  Sweeps cost
     about L^1.5, so this adds at most about 4% to a true identity.
     """
+    up_p = up[1] if up else None
     reason = _modularity_failures(combo.terms, level)
     if reason:
         return _not_applicable(level, reason, up_p=up_p)
-    all_cusps, rows = cusp_order_rows(combo.terms, level)
-    bad = []
-    for i, ((_, f), row) in enumerate(zip(combo.terms, rows), start=1):
-        total = sum(row, Fraction(0))
-        if total != 0:
-            bad.append(f"term {i} = {f} has total cusp order {total}")
+    report, bad = _order_table(level, combo.terms,
+                               constant=combo.constant != 0, up=up,
+                               constants_warning=constants_warning)
     if bad:
         return _not_applicable(
             level, "nonzero total order: " + "; ".join(bad), up_p=up_p)
-    report = order_table(level, combo.terms, all_cusps, rows,
-                         constant=combo.constant != 0, up_row=up_row,
-                         up_p=up_p, constants_warning=constants_warning)
     if not verify:
         return report
     required = report.required_depth
@@ -325,23 +328,14 @@ def format_order_table(report: ProofReport) -> str:
     """Render the per-cusp order table: one row per cusp, one column per
     term, the Gordon-Hughes bound column when present, and the columnwise
     minimum that the bound B sums."""
-    headers = ["cusp"]
-    headers += [f"ORD(f_{i})" for i in range(1, len(report.term_orders) + 1)]
+    cols = [["cusp", *map(str, report.cusps)]]
+    cols += [[f"ORD(f_{i})", *map(str, orders)]
+             for i, orders in enumerate(report.term_orders, start=1)]
     if report.up_bounds is not None:
-        headers.append(f"U_{report.up_p} bound")
-    headers.append("lower bound")
-    table = [headers]
-    for col, cusp in enumerate(report.cusps):
-        row = [str(cusp)]
-        row += [str(orders[col]) for orders in report.term_orders]
-        if report.up_bounds is not None:
-            row.append(str(report.up_bounds[col]))
-        row.append(str(report.column_minima[col]))
-        table.append(row)
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
-    lines = []
-    for n, row in enumerate(table):
-        lines.append(" | ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-        if n == 0:
-            lines.append("-+-".join("-" * w for w in widths))
+        cols.append([f"U_{report.up_p} bound", *map(str, report.up_bounds)])
+    cols.append(["lower bound", *map(str, report.column_minima)])
+    widths = [max(map(len, col)) for col in cols]
+    cols = [[cell.rjust(w) for cell in col] for col, w in zip(cols, widths)]
+    lines = [" | ".join(row) for row in zip(*cols)]
+    lines.insert(1, "-+-".join("-" * w for w in widths))
     return "\n".join(lines)

@@ -10,11 +10,13 @@ full valence-formula proof for identities U_p(g) = sum alpha_j f_j.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .arith import check_positive, is_prime, nu
-from .cusps import Cusp, gamma0_cusp_order
+from .arith import check_positive, is_prime
+from .cusps import Cusp, _gordon_hughes_numerator
 # bench/tracing.py wraps these names here:
-from .cusps import cusp_set, gamma0_cusp_orders  # noqa: F401
+from .cusps import (  # noqa: F401
+    cusp_set, gamma0_cusp_order, gamma0_cusp_orders)
 from .errors import PreconditionError
 from .etaproducts import EtaCombo, EtaProduct
 from .modularity import modular_function_check
@@ -51,7 +53,9 @@ def up_order_lower_bound(ep: EtaProduct, cusp: Cusp, level: int,
     * min over k of ORD(ep, (b+k*d)/(p*d), Gamma0(p*level)),  k = 0..p-1,
                                                   if v = 0,
 
-    with each argument cusp reduced to lowest terms first.
+    with each argument cusp reduced to lowest terms first.  The bound
+    depends only on d and is evaluated in integers, as in the provers' order
+    table.
     """
     _check_p(p, level)
     if cusp.is_infinity or level % cusp.c != 0:
@@ -60,32 +64,9 @@ def up_order_lower_bound(ep: EtaProduct, cusp: Cusp, level: int,
     if not modular_function_check(ep, p * level).invariant:
         raise PreconditionError(
             f"{ep} is not a modular function on Gamma0({p * level})")
-    return _gordon_hughes_bound(ep, cusp, level, p)
-
-
-def _gordon_hughes_bound(ep: EtaProduct, cusp: Cusp, level: int,
-                         p: int) -> Fraction:
-    """The case split of :func:`up_order_lower_bound`, for arguments that
-    already meet its preconditions.
-
-    The result depends only on the denominator d of the cusp, since the
-    order at a cusp depends only on its reduced denominator.  For v > 0 the
-    numerator b is prime to p, so b/(pd) is already reduced.  For v = 0,
-    gcd(b + kd, pd) = gcd(b + kd, p) since b is prime to d, and exactly one
-    k in 0..p-1 has p | b + kd: the sweep meets denominator d once and pd
-    p - 1 times, whatever b is.  So the minimum over k is the minimum of two
-    orders, at 1/d and at 1/(pd) (not at b/(pd), which for the cusp 0
-    would reduce to 0/1).
-    """
-    b, d = cusp.b, cusp.c
-    pN = p * level
-    v = nu(p, d)
-    if 2 * v >= nu(p, level):
-        return Fraction(1, p) * gamma0_cusp_order(ep, pN, Cusp(b, p * d))
-    if v > 0:
-        return gamma0_cusp_order(ep, pN, Cusp(b, p * d))
-    return min(gamma0_cusp_order(ep, pN, Cusp(1, d)),
-               gamma0_cusp_order(ep, pN, Cusp(1, p * d)))
+    m = lcm(*(t for t, _ in ep.factors))
+    return Fraction(_gordon_hughes_numerator(ep.factors, cusp.c, level, p, m),
+                    24 * p * m)
 
 
 def _up_expansion(ep: EtaProduct, p: int, depth: int) -> QSeries:
@@ -134,5 +115,4 @@ def prove_up_identity(ep: EtaProduct, p: int, rhs: EtaCombo, level: int,
 
     return _valence_proof(
         rhs, level, vanishing, margin=margin, verify=verify,
-        constants_warning=rhs.constant != 0,
-        up_row=lambda cusp: _gordon_hughes_bound(ep, cusp, level, p), up_p=p)
+        constants_warning=rhs.constant != 0, up=(ep, p))

@@ -2,7 +2,9 @@
 
 Every ``--json`` certificate and ``orders`` table below is compared byte for
 byte with a file under ``tests/golden/``.  A change to the prover that moves
-a single byte of a verdict, a bound or a table fails here.
+a single byte of a verdict, a bound or a table fails here.  The level-2520
+files (64 cusps) are the ones where several cusps share a denominator, so
+they pin the sharing of one order value among a denominator's cusps.
 """
 
 from pathlib import Path
@@ -38,6 +40,10 @@ CERTIFICATES = {
         (0, lambda tmp: U5FILE, ["prove-up", "--level", "20", "--yes"]),
     "prove_up_u5_bound_only.json":
         (0, lambda tmp: U5FILE, ["prove-up", "--level", "20"]),
+    "prove_pq_level2520_bound_only.json":
+        (0, lambda tmp: RAMANUJAN, ["prove", "--level", "2520"]),
+    "prove_up_u5_level2520_bound_only.json":
+        (0, lambda tmp: U5FILE, ["prove-up", "--level", "2520"]),
 }
 
 # golden file -> argv of an ``orders`` call whose stdout is recorded
@@ -46,6 +52,8 @@ ORDER_TABLES = {
         ["orders", "[20,-3,10,5,5,-2,4,15,2,-25,1,10]", "20"],
     "orders_pq_level6.txt":
         ["orders", RAMANUJAN.read_text(), "6"],
+    "orders_pq_level2520.txt":
+        ["orders", RAMANUJAN.read_text(), "2520"],
 }
 
 

@@ -27,7 +27,7 @@ from etaprover.errors import (
     InternalInconsistencyError,
     MisalignedRowsError,
 )
-from etaprover.prover import _valence_proof, cusp_order_rows
+from etaprover.prover import _order_table, _valence_proof
 
 from oracles import (
     random_eta_product,
@@ -242,17 +242,71 @@ def test_margin_must_be_a_positive_int(margin):
 
 @pytest.mark.parametrize("level", [1, 6, 40, 72, 120, 420, 2520, 100800])
 def test_order_rows_equal_per_cusp_orders(level):
-    # the rows evaluate each order once per denominator; every cusp must
-    # still get the order evaluated at that cusp
+    # the table evaluates each order once per denominator, in integers; every
+    # finite cusp must still get the order evaluated at that cusp, and the
+    # total-order messages must sum those orders over every cusp
     rng = random.Random(level)
     products = [random_eta_product(rng) for _ in range(3)]
     if level > 2:
         products += [sampled_modular_product(rng, level) for _ in range(3)]
     terms = [(F(rng.randint(-9, 9) or 1), f) for f in products]
-    all_cusps, rows = cusp_order_rows(terms, level)
-    assert all_cusps == cusp_set(level)
-    assert rows == [tuple(gamma0_cusp_order(f, level, s) for s in all_cusps)
-                    for _, f in terms]
+    report, bad = _order_table(level, terms, constant=True)
+    all_cusps = cusp_set(level)
+    assert list(report.cusps) == [s for s in all_cusps if s.c != level]
+    assert report.term_orders == tuple(
+        tuple([gamma0_cusp_order(f, level, s) for s in report.cusps])
+        for _, f in terms)
+    totals = [sum(gamma0_cusp_order(f, level, s) for s in all_cusps)
+              for _, f in terms]
+    assert bad == [f"term {i} = {f} has total cusp order {total}"
+                   for i, ((_, f), total) in enumerate(zip(terms, totals), 1)
+                   if total]
+
+
+# Texts recorded from the Fraction order table that the integer one replaced.
+NONZERO_TOTAL = [
+    (6, [[1, 1], [1, 24], [2, 2, 1, -2], [1, 2, 2, -1, 3, 4]],
+     "nonzero total order: term 1 = [1,1] has total cusp order 1/2; "
+     "term 2 = [1,24] has total cusp order 12; "
+     "term 4 = [3,4,2,-1,1,2] has total cusp order 5/2"),
+    (1, [[1, 1]],
+     "nonzero total order: term 1 = [1,1] has total cusp order 1/24"),
+    (12, [[4, 3, 2, -1], [12, 1, 6, -1, 4, -1, 3, 1], [1, -1]],
+     "nonzero total order: term 1 = [4,3,2,-1] has total cusp order 2; "
+     "term 3 = [1,-1] has total cusp order -1"),
+]
+
+
+def _pass_newman(monkeypatch):
+    # let products through that Newman's conditions would stop first
+    from etaprover.modularity import ModularityVerdict
+    monkeypatch.setattr(prover_module, "modular_function_check",
+                        lambda f, level: ModularityVerdict((True,) * 5))
+
+
+@pytest.mark.parametrize("level,flats,reason", NONZERO_TOTAL)
+def test_nonzero_total_order_reason_text(level, flats, reason, monkeypatch):
+    _pass_newman(monkeypatch)
+    terms = [(F(i), EtaProduct.from_flat(flat))
+             for i, flat in enumerate(flats, start=1)]
+    report = prove_identity(EtaCombo(1, terms), level)
+    assert report.verdict is Verdict.NOT_APPLICABLE
+    assert report.reason == reason
+    assert report.up_p is None
+
+
+def test_nonzero_total_order_reason_text_up(monkeypatch):
+    _pass_newman(monkeypatch)
+    g = EtaProduct.from_flat([100, -3, 50, 5, 25, -2, 10, -8, 5, 4, 4, 3,
+                              2, 3, 1, -2])
+    rhs = EtaCombo(0, [(F(5), EtaProduct.from_flat([10, 8, 5, -4, 2, -8,
+                                                    1, 4])),
+                       (F(1), EtaProduct.from_flat([20, 1, 1, -3]))])
+    report = prove_up_identity(g, 5, rhs, 20)
+    assert report.verdict is Verdict.NOT_APPLICABLE
+    assert report.reason == ("nonzero total order: term 2 = [20,1,1,-3] has "
+                             "total cusp order -3")
+    assert report.up_p == 5
 
 
 def test_bound_permutation_invariant():

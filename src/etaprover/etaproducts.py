@@ -15,7 +15,8 @@ from operator import mul
 from typing import Iterable, Optional, Union
 
 from .errors import NotAnEtaProductError
-from .qseries import QSeries, _euler_sweep, _lattice24, _times_product
+from .qseries import (QSeries, _euler_sweep, _lattice24, _product_list,
+                      _sweep_count)
 
 __all__ = ["EtaProduct", "EtaCombo", "eta_factorize"]
 
@@ -124,9 +125,7 @@ class EtaProduct:
     def _expand24(self, d24: int, s24: int) -> QSeries:
         """Expansion below q^(d24/24), with q^(s24/24) for the prefactors."""
         size = max(0, -(-(d24 - s24) // 24))
-        a = [1][:size] + [0] * (size - 1)
-        _times_product(a, self._factors)
-        return QSeries._from_list(a, s24, d24)
+        return QSeries._from_list(_product_list(self._factors, size), s24, d24)
 
     def expand(self, depth) -> QSeries:
         """q-expansion including the fractional prefactor q^(sum t*r/24)."""
@@ -367,7 +366,7 @@ def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
         c = c.numerator
         factors.append((n, -c))
         if b is None:
-            budget -= sum(divmod(abs(c), 3)) * size * isqrt(2 * size // n)
+            budget -= _sweep_count(c) * size * isqrt(2 * size // n)
             if budget >= 0:
                 _euler_sweep(a, n, c)
                 continue

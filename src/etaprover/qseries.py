@@ -89,12 +89,8 @@ class QSeries:
                 raise ValueError(
                     f"term q^{e} lies at or beyond the truncation q^{trunc}")
             acc[n] = acc.get(n, 0) + _coeff(c)
-        exps = sorted(n for n, c in acc.items() if c != 0)
-        self._e = tuple(exps)
-        # Tuples are built from lists: tuple(<generator>) resizes a size-10 tuple,
-        # which piles up in a free list that only a full collection empties.
-        self._c = tuple([_coeff(acc[n]) for n in exps])
-        self._t = t24
+        s = QSeries._from24(acc, t24)
+        self._e, self._c, self._t = s._e, s._c, s._t
 
     # -- internal constructors -------------------------------------------
 
@@ -118,6 +114,7 @@ class QSeries:
             exps = sorted(n for n, c in acc.items() if c != 0)
         else:
             exps = sorted(n for n, c in acc.items() if c != 0 and n < t24)
+        # tuple(<list>): tuple(<generator>) resizes tuples that pile up in a free list
         return cls._raw(tuple(exps), tuple([_coeff(acc[n]) for n in exps]), t24)
 
     @classmethod
@@ -241,17 +238,12 @@ class QSeries:
         acc: dict[int, Coefficient] = {}
         get = acc.get
         for ea, ca in zip(a._e, a._c):
-            if t is None:
-                for eb, cb in zip(be, bc):
-                    k = ea + eb
-                    acc[k] = get(k, 0) + ca * cb
-            else:
-                lim = t - ea
-                for eb, cb in zip(be, bc):
-                    if eb >= lim:
-                        break
-                    k = ea + eb
-                    acc[k] = get(k, 0) + ca * cb
+            lim = be[-1] + 1 if t is None else t - ea
+            for eb, cb in zip(be, bc):
+                if eb >= lim:
+                    break
+                k = ea + eb
+                acc[k] = get(k, 0) + ca * cb
         return QSeries._from24(acc, t)
 
     __rmul__ = __mul__
@@ -287,16 +279,8 @@ class QSeries:
         return QSeries._raw(self._e[:i], self._c[:i], t24)
 
     def _unit_pow(self, n: int) -> "QSeries":
-        """u**n for a series u with leading term 1*q^0, at its own truncation.
-
-        J.C.P. Miller's recurrence: with u = 1 + sum_j u_j x^j on the grid
-        x = q^g of u's exponents and v = u**n, v_0 = 1 and
-        k v_k = sum_{j=1..k} ((n+1) j - k) u_j v_(k-j).  It costs
-        O(L nnz(u)) for every n.  For n = -1 every weight is -k, so the
-        weights and the division drop out (the u_j are negated instead) and
-        it is the triangular inverse.  Integer coefficients stay integers:
-        k v_k is then a multiple of k.
-        """
+        """u**n for a series u with leading term 1*q^0, at its own truncation,
+        by :func:`_miller_pow` on the grid x = q^g of u's exponents."""
         rest_e, rest_c = self._e[1:], self._c[1:]
         if not rest_e:
             return self
@@ -306,22 +290,9 @@ class QSeries:
                 "cannot invert an exact polynomial without a truncation; "
                 "apply .truncated(depth) first or call invert(depth)")
         g = gcd(*rest_e)
-        w = n + 1
-        terms = [(e // g, c if w else -c) for e, c in zip(rest_e, rest_c)]
+        terms = [(e // g, c if n + 1 else -c) for e, c in zip(rest_e, rest_c)]
         L = n * terms[-1][0] + 1 if T is None else -(-T // g)
-        integral = all(type(c) is int for c in rest_c)
-        v: list = [1] + [0] * (L - 1)
-        for k in range(1, L):
-            s = 0
-            for j, c in terms:
-                if j > k:
-                    break
-                vj = v[k - j]
-                if vj:
-                    s += (w * j - k) * c * vj if w else c * vj
-            if w and s:
-                s = s // k if integral else Fraction(s, k)
-            v[k] = s
+        v = _miller_pow(terms, n, L)
         return QSeries._from24({k * g: c for k, c in enumerate(v)}, T)
 
     def _unit_invert(self) -> "QSeries":
@@ -435,6 +406,35 @@ def _jacobi_cube(limit: int) -> list[tuple[int, int]]:
             if k * (k + 1) < 2 * limit]
 
 
+def _miller_pow(terms: list, n: int, size: int) -> list:
+    """Dense v = u**n below x^size for u = 1 + sum_j u_j x^j, the (j, u_j) in
+    ``terms`` ascending from j = 1, by J.C.P. Miller's recurrence: v_0 = 1 and
+    k v_k = sum_{j=1..k} ((n+1) j - k) u_j v_(k-j), at O(size nnz(u)) for any
+    n.  For n = -1 every weight is -k, so the weights and the division drop
+    out and, given the u_j negated, it is the triangular inverse.  Integer u_j
+    give integer v_k, since k v_k is then a multiple of k."""
+    w = n + 1
+    integral = all(type(c) is int for _, c in terms)
+    v: list = [1] + [0] * (size - 1)
+    for k in range(1, size):
+        s = 0
+        for j, c in terms:
+            if j > k:
+                break
+            vj = v[k - j]
+            if vj:
+                s += (w * j - k) * c * vj if w else c * vj
+        if w and s:
+            s = s // k if integral else Fraction(s, k)
+        v[k] = s
+    return v
+
+
+def _sweep_count(r: int) -> int:
+    """The number of sweeps :func:`_euler_sweep` makes for the exponent r."""
+    return sum(divmod(abs(r), 3))
+
+
 def _euler_sweep(a: list, t: int, r: int) -> None:
     """Multiply the dense series ``a`` (a[n] is the coefficient of q^n) in
     place by prod_{n>=1} (1 - q^(t*n))^r, truncated at its length: one sweep
@@ -478,10 +478,8 @@ def _euler_power(r: int, size: int) -> list:
     """A fresh dense list of prod_{n>=1} (1 - q^n)^r below q^size."""
     a = _POWERS.pop(r, None)
     if a is None or len(a) < size:
-        if sum(divmod(abs(r), 3)) > 2:  # Miller's cost does not grow with |r|
-            u = euler_product(1, size)._unit_pow(r)
-            c = dict(zip(u._e, u._c))
-            a = [c.get(24 * n, 0) for n in range(size)]
+        if _sweep_count(r) > 2:  # Miller's cost does not grow with |r|
+            a = _miller_pow(_pentagonal(size)[1:], r, size)
         else:
             a = [1] + [0] * (size - 1)
             _euler_sweep(a, 1, r)
@@ -492,18 +490,19 @@ def _euler_power(r: int, size: int) -> list:
     return a[:size]
 
 
-def _times_product(a: list, factors: Iterable[tuple[int, int]]) -> None:
-    """Multiply the dense series ``a`` in place by prod_{n>=1} (1 - q^(t*n))^r
-    for every (t, r) in ``factors``, truncated at its length.  When ``a`` is 1,
-    the factor whose sweeps would cost most is read from the power table."""
-    unit = a[:1] == [1] and a.count(0) == len(a) - 1
-    _, t0, r0 = max(((sum(divmod(abs(r), 3)) / sqrt(t), t, r) for t, r in factors
-                     if unit and t < len(a)), default=(0, 0, 0))
+def _product_list(factors: tuple, size: int) -> list:
+    """The dense list of prod_{n>=1} (1 - q^(t*n))^r over the (t, r) in
+    ``factors``, below q^size.  The factor whose sweeps would cost most is
+    read from the power table, and every other factor sweeps it."""
+    _, t0, r0 = max(((_sweep_count(r) / sqrt(t), t, r) for t, r in factors
+                     if t < size), default=(0, 0, 0))
+    a = [1][:size] + [0] * (size - 1)
     if t0:
-        a[::t0] = _euler_power(r0, -(-len(a) // t0))
+        a[::t0] = _euler_power(r0, -(-size // t0))
     for t, r in factors:
         if t != t0:
             _euler_sweep(a, t, r)
+    return a
 
 
 def euler_product(t: int, depth: Exponent) -> QSeries:

@@ -21,7 +21,7 @@ from .errors import PreconditionError
 from .etaproducts import EtaCombo, EtaProduct
 from .modularity import modular_function_check
 from .prover import ProofReport, _not_applicable, _valence_proof
-from .qseries import QSeries, _times_product
+from .qseries import QSeries, _euler_sweep
 
 __all__ = ["up_series", "up_order_lower_bound", "prove_up_identity"]
 
@@ -83,7 +83,9 @@ def _up_expansion(ep: EtaProduct, p: int, depth: int) -> QSeries:
     a = [0] * max(0, depth - n0)
     for e, c in zip(sifted._e, sifted._c):
         a[e // 24 - n0] = c
-    _times_product(a, [(t // p, r) for t, r in ep.factors if t % p == 0])
+    for t, r in ep.factors:
+        if t % p == 0:
+            _euler_sweep(a, t // p, r)
     return QSeries._from_list(a, 24 * n0, 24 * depth)
 
 
@@ -110,8 +112,7 @@ def prove_up_identity(ep: EtaProduct, p: int, rhs: EtaCombo, level: int,
             up_p=p)
 
     def vanishing(depth: int) -> QSeries:
-        lhs = _up_expansion(ep, p, depth)
-        return (lhs - rhs.expand(Fraction(depth))).truncated(Fraction(depth))
+        return _up_expansion(ep, p, depth) - rhs.expand(Fraction(depth))
 
     return _valence_proof(
         rhs, level, vanishing, margin=margin, verify=verify,

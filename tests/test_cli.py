@@ -243,6 +243,36 @@ def test_orders_without_eta_product_term_is_usage_error(expr, capsys):
     assert err == "error: orders needs an eta-product term\n"
 
 
+JACOBI_TABLE = ("cusp | ORD(f_1) | ORD(f_2) | lower bound\n"
+                "-----+----------+----------+------------\n"
+                "   0 |        1 |        0 |           0\n"
+                " 1/2 |       -1 |       -1 |          -1\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["orders", "[1,-1]+1", "5"],
+     (2, "", "not every term is a modular function on Gamma0(5): "
+             "term 1 = [1,-1] fails condition(s) 1,2,5\n")),
+    (["prove", "JACOBI", "--level", "4", "--yes"],
+     (0, "level: 4\n"
+         "f_1 = [4,8,2,-24,1,16]   (coefficient -1)\n"
+         "f_2 = [4,16,2,-24,1,8]   (coefficient -16)\n"
+         "note: the identity carries a constant term\n" + JACOBI_TABLE +
+         "B = -1\nverify through q^1\n"
+         "all coefficients through q^10 vanish\nverdict: PROVED\n", "")),
+    (["formcheck", "[4,-2,2,5,1,-2]", "4"],
+     (0, "level: 4\nweight: 1/2\ncharacter: kronecker(8, .)   (raw 512)\n"
+         "note: half-integral weight\n", "")),
+])
+def test_rarely_printed_branches_byte_for_byte(argv, expected, tmp_path, capsys):
+    # the not-applicable reason of `orders`, the constant-term note and the
+    # half-integral weight note, pinned byte for byte
+    jacobi = tmp_path / "jacobi.eta"
+    jacobi.write_text("[4,8,2,-24,1,16] + 16*[4,16,2,-24,1,8] - 1\n")
+    argv = [str(jacobi) if a == "JACOBI" else a for a in argv]
+    assert run(capsys, *argv) == expected
+
+
 @pytest.mark.parametrize("what, argv", [
     ("check", ["check", "1", "6"]),
     ("check", ["check", "2*[1,4,2,-2,10,2,5,-4] + 1", "20"]),

@@ -268,3 +268,37 @@ def test_sum_and_constant_powers_unchanged(n):
     for combo in (EtaCombo(9, [(1, f)]), EtaCombo(0, [(1, f), (-2, g)]), EtaCombo(F(2, 3))):
         assert combo ** n == _binary_power(combo, n)
     assert EtaCombo(F(2, 3)) ** -3 == EtaCombo(F(27, 8))
+
+
+# -- scalar arithmetic ------------------------------------------------------------
+
+COMBO = EtaCombo(1, [(2, EtaProduct.from_flat([5, 6, 1, -6])),
+                     (F(-1, 3), EtaProduct.from_flat([2, 1]))])
+SERIES = QSeries([(0, 3), (1, -2), (F(5, 2), 1)], 4)
+HALF_COMBO = ("EtaCombo(Fraction(1, 2), [(Fraction(1, 1), EtaProduct.from_flat("
+              "[5, 6, 1, -6])), (Fraction(-1, 6), EtaProduct.from_flat([2, 1]))])")
+
+
+@pytest.mark.parametrize("compute, expected", [
+    (lambda: repr(COMBO * 3),
+     "EtaCombo(Fraction(3, 1), [(Fraction(6, 1), EtaProduct.from_flat("
+     "[5, 6, 1, -6])), (Fraction(-1, 1), EtaProduct.from_flat([2, 1]))])"),
+    (lambda: repr(COMBO * F(1, 2)), HALF_COMBO),
+    (lambda: repr(COMBO / 2), HALF_COMBO),
+    (lambda: COMBO / 0, ZeroDivisionError("division of a combo by zero")),
+    (lambda: str(SERIES / 2), "3/2 - q + 1/2*q^(5/2) + O(q^4)"),
+    (lambda: SERIES / 0, ZeroDivisionError("division of a series by zero")),
+    (lambda: str(SERIES - 1), "2 - 2*q + q^(5/2) + O(q^4)"),
+    (lambda: str(1 - SERIES), "-2 + 2*q - q^(5/2) + O(q^4)"),
+    (lambda: repr(SERIES * 0), "QSeries([], trunc=4)"),
+    (lambda: eta_factorize(QSeries([(0, 1), (1, -1)])),
+     ValueError("depth is required to factorize an exact series")),
+], ids=["combo*3", "combo*1/2", "combo/2", "combo/0", "series/2", "series/0",
+        "series-1", "1-series", "series*0", "factorize-exact-no-depth"])
+def test_public_scalar_arithmetic(compute, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            compute()
+        assert str(info.value) == str(expected)
+    else:
+        assert compute() == expected

@@ -8,6 +8,7 @@ compared with the old greedy stripping done by that same path, down to the
 text of every error.
 """
 
+import random
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -22,6 +23,7 @@ from etaprover.errors import NotAnEtaProductError
 from etaprover import qseries
 from etaprover.qseries import (_POWERS, _euler_power, _euler_sweep, _jacobi_cube,
                                _pentagonal)
+from etaprover.up import _up_expansion
 
 from oracles import (eta_quotient_brute, euler_brute, euler_sweep_scalar, pdiv,
                      pmul, ppow)
@@ -443,3 +445,75 @@ def test_import_fills_no_table():
          "import etaprover.cli, etaprover.qseries as q; print(len(q._POWERS))"],
         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
+
+
+# -- which table entry an expansion reads ------------------------------------------
+#
+# Seeding from the table or sweeping gives the same list, so no other test sees
+# which factor is read from the table.  The (r, size) requests below are
+# hard-coded, so that a change of the cost rule has to change them on purpose.
+
+U20_LHS = [100, -3, 50, 5, 25, -2, 10, -8, 5, 4, 4, 3, 2, 3, 1, -2]
+SEED_CASES = [  # (kind, flat product, depth[, p]) -> _euler_power calls
+    (("expand", [6, -2, 3, -2, 2, 2, 1, 2], 382), [(2, 383)]),
+    (("expand", [6, 2, 3, 2, 2, -2, 1, -2], 382), [(-2, 382)]),
+    (("expand", [6, -6, 3, 6, 2, 6, 1, -6], 382), [(-6, 383)]),
+    (("expand", [6, 6, 3, -6, 2, -6, 1, 6], 382), [(6, 382)]),
+    (("expand", [5, 6, 1, -6], 401), [(-6, 400)]),
+    (("expand", [7, 4, 1, -4], 301), [(-4, 300)]),
+    (("expand", [7, 8, 1, -8], 301), [(-8, 299)]),
+    (("expand", [10, 8, 5, -4, 2, -8, 1, 4], 106), [(-8, 52)]),
+    (("expand", [20, -3, 10, 5, 5, -2, 4, -1, 2, -1, 1, 2], 106),
+     [(2, 107)]),
+    (("expand", U20_LHS, 500), [(-2, 506)]),
+    (("expand", [50, -1, 25, 1, 2, 1, 1, -1], 1300), [(-1, 1301)]),
+    (("up", [25, 1, 1, -1], 5, 401), [(-1, 2000)]),
+    (("up", [49, 1, 1, -1], 7, 301), [(-1, 2099)]),
+    (("up", U20_LHS, 5, 106), [(-2, 532)]),
+    (("bare", [4, 2, 1, 1], 30), [(2, 8)]),
+    (("bare", [5, 10, 1, 1], 3), [(1, 3)]),
+    (("bare", [9, 3, 4, 2, 1, 1], 40), [(2, 10)]),
+    (("bare", [1, -7], 1), []),
+    (("bare", [2, 5], 2), []),
+    (("bare", [3, -9], 0), []),
+]
+RANDOM_SEEDS = [  # the one call of each random product, None for none
+    (-10, 6), (-5, 5), (-4, 2), (-11, 2), (-10, 4), (-6, 4), None, (-9, 80),
+    (-11, 3), None, (11, 33), (4, 9), (11, 73), (-12, 10), (1, 12), (-12, 24),
+    (-10, 4), (10, 3), (-7, 7), (9, 16), (-11, 115), (-11, 20), (-9, 6), (-8, 23),
+    None, (8, 6), (-11, 4), (8, 5), (-2, 29), (-8, 13), (-4, 20), (6, 52), (5, 18),
+    (7, 45), (10, 96), (8, 10), (-8, 5), (11, 7), (7, 20), (-9, 6),
+]
+
+
+def random_seed_cases(count=40):
+    rng = random.Random(20261018)
+    for _ in range(count):
+        flat = []
+        for t in rng.sample(range(1, 31), rng.randint(1, 4)):
+            flat += [t, rng.choice([r for r in range(-12, 13) if r])]
+        yield "bare", flat, rng.randint(0, 120)
+
+
+def table_requests(case, monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(qseries, "_euler_power", lambda r, size:
+                        calls.append((r, size)) or _euler_power(r, size))
+    kind, flat, *rest = case
+    ep = EtaProduct.from_flat(flat)
+    if kind == "expand":
+        ep.expand(rest[0])
+    elif kind == "bare":
+        ep.expand_no_prefactor(rest[0])
+    else:
+        _up_expansion(ep, rest[0], rest[1])
+    return calls
+
+
+def test_expansions_seed_the_same_factors(monkeypatch):
+    # deep-workload products, u20 terms and U_p left-hand sides, ties of the
+    # cost rule ([4,2,1,1]), factors at t >= size, and empty lists
+    for case, want in SEED_CASES:
+        assert table_requests(case, monkeypatch) == want, case
+    got = [table_requests(case, monkeypatch) for case in random_seed_cases()]
+    assert got == [[] if c is None else [c] for c in RANDOM_SEEDS]

@@ -26,6 +26,7 @@ from .etaproducts import EtaCombo, EtaProduct
 __all__ = ["LinearIdentity", "UpIdentity", "parse_program", "parse_expression"]
 
 _KEYWORDS = {"let", "eta", "U"}
+_MAX_PARENS = 200  # open parentheses; each costs four Python frames
 
 _PUNCT = "+-*/^()[],;="
 
@@ -104,6 +105,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.env: dict[str, EtaCombo] = {}
+        self.parens = 0  # open parentheses
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -195,9 +197,13 @@ class _Parser:
             self.next()
             return EtaCombo(int(t.text))
         if t.kind == "(":
+            if self.parens == _MAX_PARENS:
+                raise ParseError(f"more than {_MAX_PARENS} nested parentheses", t.line, t.col)
             self.next()
+            self.parens += 1
             value = self.expr()
             self.expect(")")
+            self.parens -= 1
             return value
         if t.kind == "[":
             return self.bracket()

@@ -21,7 +21,7 @@ from .errors import PreconditionError
 from .etaproducts import EtaCombo, EtaProduct
 from .modularity import modular_function_check
 from .prover import ProofReport, _not_applicable, _valence_proof
-from .qseries import QSeries, _euler_sweep
+from .qseries import QSeries, _euler_sweep, _product_list
 
 __all__ = ["up_series", "up_order_lower_bound", "prove_up_identity"]
 
@@ -73,19 +73,18 @@ def _up_expansion(ep: EtaProduct, p: int, depth: int) -> QSeries:
     """up_series(ep.expand(p * depth), p), for ep with integer s = sum(t*r)/24.
 
     U_p(q^s H(q) G(q^p)) = G(q) U_p(q^s H(q)) for H the factors with p not
-    dividing t: only H is expanded to p times the depth, and G's factors
-    (t/p, r) sweep the sifted list, whose entry i is at q^(n0 + i)."""
+    dividing t: H's list, to p times the depth, is sliced at q^(p*n - s) for
+    n >= n0, and G's factors (t/p, r) sweep the slice.  With no H and p | s,
+    this is q^(s/p) G(q), read from the table like any other product."""
     s = ep.degree24 // 24
     n0 = -(-s // p)
-    h = EtaProduct([(t, r) for t, r in ep.factors if t % p])
-    sifted = up_series(
-        h.expand_no_prefactor(p * (depth - 1) - s + 1)._shift(24 * s), p)
-    a = [0] * max(0, depth - n0)
-    for e, c in zip(sifted._e, sifted._c):
-        a[e // 24 - n0] = c
-    for t, r in ep.factors:
-        if t % p == 0:
-            _euler_sweep(a, t // p, r)
+    h = [(t, r) for t, r in ep.factors if t % p]
+    g = [(t // p, r) for t, r in ep.factors if t % p == 0]
+    if not h and s % p == 0:
+        return EtaProduct(g)._expand24(24 * depth, 24 * n0)
+    a = _product_list(h, p * (depth - 1) - s + 1)[p * n0 - s::p]
+    for t, r in g:
+        _euler_sweep(a, t, r)
     return QSeries._from_list(a, 24 * n0, 24 * depth)
 
 

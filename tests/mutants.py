@@ -32,7 +32,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = "tests/test_kernel.py::test_expansions_seed_the_same_factors"
 EXPAND = ["tests/test_kernel.py", "-k", "expand"]
 POWER = "tests/test_kernel.py::test_euler_power_matches_brute_by_either_fill"
-UP_EXPANSION = ["tests/test_up.py", "-k", "up_expansion"]
+# Deterministic tests first: -x stops there, before Hypothesis shrinks a failure.
+UP_EXPANSION = ["tests/test_up.py::test_up_expansion_by_sign_of_s",
+                "tests/test_up.py::test_up_expansion_slices_one_list",
+                "tests/test_up.py::test_up_expansion_matches_definition"]
+DIFFERENTIAL = ("tests/test_order_table.py::"
+                "test_integer_numerators_equal_ligozat_times_width")
+GH_ROW = ("tests/test_order_table.py::"
+          "test_integer_gordon_hughes_row_equals_brute_sweep")
+UP_ROW = ("tests/test_up.py::"
+          "test_up_row_per_denominator_equals_checked_bound_at_every_cusp")
+GOLDEN = "tests/test_golden.py::test_certificate_bytes"
+ORDERS = "tests/test_golden.py::test_orders_stdout_bytes"
 
 MUTANTS = [
     # The list builder and its seed choice.
@@ -69,11 +80,60 @@ MUTANTS = [
     ("construct without the truncation", "qseries.py",
      "s = QSeries._from24(acc, t24)", "s = QSeries._from24(acc, None)",
      ["tests/test_qseries.py"]),
-    # The U_p left-hand side.
-    ("shift the sifted list by one place", "up.py",
-     "a[e // 24 - n0] = c", "a[e // 24 - n0 - 1] = c", UP_EXPANSION),
+    # The U_p left-hand side, sliced from H's list.
+    ("start the slice one place late", "up.py",
+     "[p * n0 - s::p]", "[p * n0 - s + 1::p]", UP_EXPANSION),
+    ("slice with stride p - 1", "up.py",
+     "[p * n0 - s::p]", "[p * n0 - s::p - 1]", UP_EXPANSION),
     ("sweep G at t instead of t/p", "up.py",
-     "_euler_sweep(a, t // p, r)", "_euler_sweep(a, t, r)", UP_EXPANSION),
+     "g = [(t // p, r)", "g = [(t, r)", UP_EXPANSION),
+    ("expand G alone without p | s", "up.py",
+     "if not h and s % p == 0:", "if not h:", UP_EXPANSION),
+    # The order table and bound B (prover._order_table and its integer helpers).
+    ("drop the cusp-count weight in B", "prover.py",
+     "bound = Fraction(sum(map(mul, minima, weights)), den)",
+     "bound = Fraction(sum(minima), den)",
+     [GOLDEN + "[prove_up_u5_level2520_bound_only.json]", DIFFERENTIAL]),
+    ("gcd(t, c) unsquared", "cusps.py",
+     "gcd(t, c) ** 2 * r", "gcd(t, c) * r",
+     [GOLDEN + "[prove_pq_bound_only.json]",
+      "tests/test_cusps.py::test_ligozat_order_fixture",
+      "tests/test_prover.py::test_entry31_proved", DIFFERENTIAL]),
+    ("omit the constant's zero row", "prover.py",
+     "matrix.append([0] * finite)", "pass",
+     [ORDERS + "[orders_product_level20.txt]",
+      "tests/test_cli.py::test_orders_single_product", DIFFERENTIAL]),
+    ("swap the Gordon-Hughes 1/p and p cases", "cusps.py",
+     "return order(p * d)\n    if v > 0:\n        return p * order(p * d)",
+     "return p * order(p * d)\n    if v > 0:\n        return order(p * d)",
+     [GH_ROW + "[8-2]", GOLDEN + "[prove_up_u5_bound_only.json]",
+      "tests/test_up.py::test_bounds_for_level50_product"]),
+    ("keep the infinite class's column", "prover.py",
+     "finite = len(dens) - 1", "finite = len(dens)",
+     [GOLDEN + "[prove_pq_bound_only.json]", UP_ROW, DIFFERENTIAL]),
+    ("drop the cusp-count weight in the totals", "prover.py",
+     "total = sum(map(mul, row, weights))", "total = sum(row)",
+     [GOLDEN + "[prove_pq_level2520_bound_only.json]",
+      "tests/test_prover.py::test_order_rows_equal_per_cusp_orders[72]",
+      DIFFERENTIAL]),
+    ("key the Ligozat sums by gcd(c, 24)", "prover.py",
+     "gs = [gcd(c, m) for c in dens]", "gs = [gcd(c, 24) for c in dens]",
+     ["tests/test_up.py::test_u5_identity_proved", DIFFERENTIAL]),
+    ("reuse the first term's sums for every term", "prover.py",
+     "sums = {g: _ligozat_sum", "sums = rows and sums or {g: _ligozat_sum",
+     ["tests/test_prover.py::test_entry31_proved", DIFFERENTIAL]),
+    ("leave the U_p product out of m", "prover.py",
+     "products = [f for _, f in terms] + ([up[0]] if up else [])",
+     "products = [f for _, f in terms]", [GH_ROW + "[8-2]", UP_ROW]),
+    ("put the separator line above the header", "prover.py",
+     "lines.insert(1, ", "lines.insert(0, ",
+     [ORDERS + "[orders_pq_level2520.txt]",
+      "tests/test_prover.py::test_entry31_table_layout"]),
+    ("keep the Fraction cache across tables", "prover.py",
+     "fracs: dict[int, Fraction] = {}",
+     'fracs = _order_table.__dict__.setdefault("fracs", {})',
+     ["tests/test_prover.py::test_order_rows_equal_per_cusp_orders",
+      DIFFERENTIAL]),
     # eta_factorize's budget.
     ("charge one sweep per factorization step", "etaproducts.py",
      "budget -= _sweep_count(c) * size", "budget -= size",

@@ -339,11 +339,17 @@ def test_usage_error_exit_code(capsys):
     ["prove", "{latin1}", "--level", "6", "--yes"],
     ["expand", "eta(" + "1" * 5000 + ")"],
     ["expand", "eta(\u00b2)"],
-], ids=["non-utf8-file", "5000-digit-literal", "superscript-digit"])
+    ["expand", "(" * 5000 + "1" + ")" * 5000],
+    ["prove", "{nested}", "--level", "6", "--yes"],
+], ids=["non-utf8-file", "5000-digit-literal", "superscript-digit",
+        "5000-parentheses", "5000-parentheses-in-let"])
 def test_rejected_input_is_one_error_line_and_exit_3(argv, tmp_path, capsys):
     latin1 = tmp_path / "latin1.eta"
     latin1.write_bytes("eta(1) - 1  # caf\u00e9\n".encode("latin-1"))
-    code, out, err = run(capsys, *(a.format(latin1=latin1) for a in argv))
+    nested = tmp_path / "nested.eta"
+    nested.write_text("let A = " + "(" * 5000 + "1" + ")" * 5000 + ";\nA - 1\n")
+    code, out, err = run(capsys, *(a.format(latin1=latin1, nested=nested)
+                                   for a in argv))
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -114,6 +114,15 @@ def test_syntax_error_has_position():
     assert err.value.line == 2 or err.value.line == 1
 
 
+def test_nested_parentheses_are_limited():
+    # the limit keeps the recursive descent well inside Python's stack
+    assert parse_expression("(" * 200 + "1" + ")" * 200) == parse_expression("1")
+    with pytest.raises(ParseError) as err:
+        parse_expression("(" * 201 + "1" + ")" * 201)
+    assert str(err.value) == "more than 200 nested parentheses (line 1, column 201)"
+    assert (err.value.line, err.value.column) == (1, 201)
+
+
 def test_unknown_name_reported():
     with pytest.raises(LoweringError) as err:
         parse_expression("B + 1")

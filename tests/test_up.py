@@ -299,7 +299,7 @@ def test_u5_of_recognized_images_dominates_bounds():
                                          for c in report.cusps)
 
 
-# -- the U_p left side: factors with p | t swept after the sift -----------------
+# -- the U_p left side: factors with p | t swept after the slice ----------------
 
 
 def _up_reference(ep: EtaProduct, p: int, depth: int) -> QSeries:
@@ -340,6 +340,7 @@ def test_up_expansion_matches_definition(seed, p, kind, depth):
     ([25, 1, 1, -1], 5),              # s = 1, mixed
     ([1, 48], 2),                     # s = 2, no factor with p | t
     ([7, 24], 7),                     # s = 7, only factors with p | t
+    ([4, 12, 2, -12], 2),             # s = 1, only factors with p | t, p not dividing s
 ])
 def test_up_expansion_by_sign_of_s(flat, p):
     ep = EtaProduct.from_flat(flat)
@@ -351,10 +352,32 @@ def test_up_expansion_by_sign_of_s(flat, p):
             assert got.is_zero() and got._t == 24 * depth
 
 
-def test_up_expansion_sift_goes_through_up_series(monkeypatch):
+@pytest.mark.parametrize("flat, p, depth, want", [
+    (EP_g100.flat(), 5, 12, ["_product_list", "_raw"]),
+    ([4, 12, 2, -12], 2, 12, ["_product_list", "_raw"]),  # p does not divide s
+    ([10, 24, 5, -24], 5, 40, ["_expand24", "_product_list", "_raw"]),
+])
+def test_up_expansion_slices_one_list(monkeypatch, flat, p, depth, want):
+    # one dense list, sliced and swept, becomes the one QSeries; no sift
+    import etaprover.etaproducts as etaproducts_module
     import etaprover.up as up_module
+    ep = EtaProduct.from_flat(flat)
+    expected = _up_reference(ep, p, depth)
     calls = []
-    monkeypatch.setattr(up_module, "up_series",
-                        lambda series, p: calls.append(p) or up_series(series, p))
-    assert _up_expansion(EP_g100, 5, 12) == _up_reference(EP_g100, 5, 12)
-    assert calls == [5]
+
+    def spy(owner, name, wrap=lambda f: f):
+        f = getattr(owner, name)
+        monkeypatch.setattr(owner, name, wrap(
+            lambda *args: calls.append(name) or f(*args)))
+
+    for owner in (up_module, etaproducts_module):
+        spy(owner, "_product_list")
+    spy(up_module, "up_series")
+    spy(QSeries, "sift")
+    spy(QSeries, "_shift")
+    spy(QSeries, "_raw", staticmethod)
+    spy(EtaProduct, "expand_no_prefactor")
+    spy(EtaProduct, "_expand24")
+    got = _up_expansion(ep, p, depth)
+    assert calls == want
+    assert got == expected

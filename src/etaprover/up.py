@@ -74,14 +74,11 @@ def _up_expansion(ep: EtaProduct, p: int, depth: int) -> QSeries:
 
     U_p(q^s H(q) G(q^p)) = G(q) U_p(q^s H(q)) for H the factors with p not
     dividing t: H's list, to p times the depth, is sliced at q^(p*n - s) for
-    n >= n0, and G's factors (t/p, r) sweep the slice.  With no H and p | s,
-    this is q^(s/p) G(q), read from the table like any other product."""
+    n >= n0, and G's factors (t/p, r) sweep the slice."""
     s = ep.degree24 // 24
     n0 = -(-s // p)
     h = [(t, r) for t, r in ep.factors if t % p]
     g = [(t // p, r) for t, r in ep.factors if t % p == 0]
-    if not h and s % p == 0:
-        return EtaProduct(g)._expand24(24 * depth, 24 * n0)
     a = _product_list(h, p * (depth - 1) - s + 1)[p * n0 - s::p]
     for t, r in g:
         _euler_sweep(a, t, r)

@@ -87,8 +87,6 @@ MUTANTS = [
      "[p * n0 - s::p]", "[p * n0 - s::p - 1]", UP_EXPANSION),
     ("sweep G at t instead of t/p", "up.py",
      "g = [(t // p, r)", "g = [(t, r)", UP_EXPANSION),
-    ("expand G alone without p | s", "up.py",
-     "if not h and s % p == 0:", "if not h:", UP_EXPANSION),
     # The order table and bound B (prover._order_table and its integer helpers).
     ("drop the cusp-count weight in B", "prover.py",
      "bound = Fraction(sum(map(mul, minima, weights)), den)",

@@ -470,7 +470,6 @@ SEED_CASES = [  # (kind, flat product, depth[, p]) -> _euler_power calls
     (("up", [25, 1, 1, -1], 5, 401), [(-1, 2000)]),
     (("up", [49, 1, 1, -1], 7, 301), [(-1, 2099)]),
     (("up", U20_LHS, 5, 106), [(-2, 532)]),
-    (("up", [10, 24, 5, -24], 5, 400), [(-24, 399)]),
     (("bare", [4, 2, 1, 1], 30), [(2, 8)]),
     (("bare", [5, 10, 1, 1], 3), [(1, 3)]),
     (("bare", [9, 3, 4, 2, 1, 1], 40), [(2, 10)]),

@@ -355,7 +355,6 @@ def test_up_expansion_by_sign_of_s(flat, p):
 @pytest.mark.parametrize("flat, p, depth, want", [
     (EP_g100.flat(), 5, 12, ["_product_list", "_raw"]),
     ([4, 12, 2, -12], 2, 12, ["_product_list", "_raw"]),  # p does not divide s
-    ([10, 24, 5, -24], 5, 40, ["_expand24", "_product_list", "_raw"]),
 ])
 def test_up_expansion_slices_one_list(monkeypatch, flat, p, depth, want):
     # one dense list, sliced and swept, becomes the one QSeries; no sift
@@ -377,7 +376,6 @@ def test_up_expansion_slices_one_list(monkeypatch, flat, p, depth, want):
     spy(QSeries, "_shift")
     spy(QSeries, "_raw", staticmethod)
     spy(EtaProduct, "expand_no_prefactor")
-    spy(EtaProduct, "_expand24")
     got = _up_expansion(ep, p, depth)
     assert calls == want
     assert got == expected

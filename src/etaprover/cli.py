@@ -287,9 +287,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except PreconditionError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, EtaProverError) as exc:
-        # unreadable files, undecodable text, over-long integer literals
-        # and every input this package rejects: a usage error, never exit 1
+    except (OSError, OverflowError, ValueError, EtaProverError) as exc:
+        # unreadable files, undecodable text, over-long integer literals,
+        # numbers past the machine's index size and every input this
+        # package rejects: a usage error, never exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .arith import check_positive, is_square, prime_factors
 from .errors import NotAFormError
@@ -50,7 +51,8 @@ def modular_function_check(ep: EtaProduct, level: int) -> ModularityVerdict:
     The five conditions, in reported order:
       1. the eta exponents sum to 0;
       2. sum of t*r is divisible by 24;
-      3. the product of t^|r| is a perfect square;
+      3. the product of t^|r| is a perfect square (tested on the t with r
+         odd, since t^|r| is a square times t^(|r| mod 2));
       4. every multiplier t divides the level (and every r is nonzero,
          which the canonical form guarantees);
       5. sum of (level/t)*r is divisible by 24.
@@ -59,10 +61,7 @@ def modular_function_check(ep: EtaProduct, level: int) -> ModularityVerdict:
     fs = ep.factors
     c1 = sum(r for _, r in fs) == 0
     c2 = sum(t * r for t, r in fs) % 24 == 0
-    sq = 1
-    for t, r in fs:
-        sq *= t ** abs(r)
-    c3 = is_square(sq)
+    c3 = is_square(prod([t for t, r in fs if r & 1]))
     c4 = all(r != 0 and level % t == 0 for t, r in fs)
     s5 = sum((Fraction(level, t) * r for t, r in fs), Fraction(0))
     c5 = s5.denominator == 1 and s5.numerator % 24 == 0
@@ -124,14 +123,13 @@ def modular_form_check(ep: EtaProduct, level: int) -> FormVerdict:
         raise NotAFormError("; ".join(problems))
     half_integral = k2 % 2 != 0
     sign = 1 if half_integral or (k2 // 2) % 2 == 0 else -1
-    raw = sign
-    for t, r in fs:
-        raw *= t ** abs(r)
+    # the discriminant reads only the parity of each |r|, as condition 3 does
+    odd = prod([t for t, r in fs if r & 1])
     return FormVerdict(
         level=level,
         weight=Fraction(k2, 2),
-        character_disc=_fundamental_discriminant(raw),
-        character_raw=raw,
+        character_disc=_fundamental_discriminant(sign * odd),
+        character_raw=sign * prod([t ** abs(r) for t, r in fs]),
         half_integral=half_integral,
     )
 

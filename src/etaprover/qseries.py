@@ -290,7 +290,7 @@ class QSeries:
                 "cannot invert an exact polynomial without a truncation; "
                 "apply .truncated(depth) first or call invert(depth)")
         g = gcd(*rest_e)
-        terms = [(e // g, c if n + 1 else -c) for e, c in zip(rest_e, rest_c)]
+        terms = [(e // g, c) for e, c in zip(rest_e, rest_c)]
         L = n * terms[-1][0] + 1 if T is None else -(-T // g)
         v = _miller_pow(terms, n, L)
         return QSeries._from24({k * g: c for k, c in enumerate(v)}, T)
@@ -411,11 +411,11 @@ def _miller_pow(terms: list, n: int, size: int) -> list:
     ``terms`` ascending from j = 1, by J.C.P. Miller's recurrence: v_0 = 1 and
     k v_k = sum_{j=1..k} ((n+1) j - k) u_j v_(k-j), at O(size nnz(u)) for any
     n.  For n = -1 every weight is -k, so the weights and the division drop
-    out and, given the u_j negated, it is the triangular inverse.  Integer u_j
-    give integer v_k, since k v_k is then a multiple of k."""
+    out: v_k = -sum_j u_j v_(k-j), the triangular inverse.  Integer u_j give
+    integer v_k, since k v_k is then a multiple of k."""
     w = n + 1
     integral = all(type(c) is int for _, c in terms)
-    v: list = [1] + [0] * (size - 1)
+    v: list = [1][:size] + [0] * (size - 1)
     for k in range(1, size):
         s = 0
         for j, c in terms:
@@ -424,7 +424,9 @@ def _miller_pow(terms: list, n: int, size: int) -> list:
             vj = v[k - j]
             if vj:
                 s += (w * j - k) * c * vj if w else c * vj
-        if w and s:
+        if not w:
+            s = -s
+        elif s:
             s = s // k if integral else Fraction(s, k)
         v[k] = s
     return v
@@ -478,11 +480,7 @@ def _euler_power(r: int, size: int) -> list:
     """A fresh dense list of prod_{n>=1} (1 - q^n)^r below q^size."""
     a = _POWERS.pop(r, None)
     if a is None or len(a) < size:
-        if _sweep_count(r) > 2:  # Miller's cost does not grow with |r|
-            a = _miller_pow(_pentagonal(size)[1:], r, size)
-        else:
-            a = [1] + [0] * (size - 1)
-            _euler_sweep(a, 1, r)
+        a = _miller_pow(_pentagonal(size)[1:], r, size)
     if len(a) <= _MAX_COEFFS:
         _POWERS[r] = a
         while len(_POWERS) > _MAX_ENTRIES or sum(map(len, _POWERS.values())) > _MAX_COEFFS:

@@ -31,7 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SEED = "tests/test_kernel.py::test_expansions_seed_the_same_factors"
 EXPAND = ["tests/test_kernel.py", "-k", "expand"]
-POWER = "tests/test_kernel.py::test_euler_power_matches_brute_by_either_fill"
+POWER = "tests/test_kernel.py::test_euler_power_matches_brute"
+MILLER = "tests/test_kernel.py::test_miller_pow_matches_schoolbook_powers"
 # Deterministic tests first: -x stops there, before Hypothesis shrinks a failure.
 UP_EXPANSION = ["tests/test_up.py::test_up_expansion_by_sign_of_s",
                 "tests/test_up.py::test_up_expansion_slices_one_list",
@@ -64,9 +65,9 @@ MUTANTS = [
     ("fill the table from the pentagonal series without q^1", "qseries.py",
      "_miller_pow(_pentagonal(size)[1:], r, size)",
      "_miller_pow(_pentagonal(size)[2:], r, size)", [POWER]),
-    ("invert without negating the terms", "qseries.py",
-     "c if n + 1 else -c", "c if n + 1 else c",
-     ["tests/test_pow_golden.py", "tests/test_qseries.py"]),
+    ("drop the n = -1 sign", "qseries.py",
+     "            s = -s\n", "            pass\n",
+     [MILLER, "tests/test_pow_golden.py"]),
     ("floor Fraction powers", "qseries.py",
      "s = s // k if integral else Fraction(s, k)", "s = s // k",
      ["tests/test_pow_golden.py"]),
@@ -80,6 +81,11 @@ MUTANTS = [
     ("construct without the truncation", "qseries.py",
      "s = QSeries._from24(acc, t24)", "s = QSeries._from24(acc, None)",
      ["tests/test_qseries.py"]),
+    ("start a list-built series one place late", "qseries.py",
+     "range(s24, s24 + 24 * len(a), 24)",
+     "range(s24 + 24, s24 + 24 + 24 * len(a), 24)",
+     ["tests/test_cli.py::test_expand_no_prefactor",
+      "tests/test_qseries.py::test_from_list_matches_dict_constructor"]),
     # The U_p left-hand side, sliced from H's list.
     ("start the slice one place late", "up.py",
      "[p * n0 - s::p]", "[p * n0 - s + 1::p]", UP_EXPANSION),
@@ -132,6 +138,18 @@ MUTANTS = [
      'fracs = _order_table.__dict__.setdefault("fracs", {})',
      ["tests/test_prover.py::test_order_rows_equal_per_cusp_orders",
       DIFFERENTIAL]),
+    # The refutation probe.
+    ("probe a ninth of the depth", "prover.py",
+     "depth // _PROBE_SHARE)", "depth // (_PROBE_SHARE + 1))",
+     ["tests/test_prover.py::test_probe_leaves_certificates_byte_identical"]),
+    # Newman's condition 3 and the form character, by exponent parity.
+    ("test squareness on every t", "modularity.py",
+     "c3 = is_square(prod([t for t, r in fs if r & 1]))",
+     "c3 = is_square(prod([t for t, r in fs]))",
+     ["tests/test_modularity.py::test_condition_3_matches_the_full_product"]),
+    ("read the character from every t", "modularity.py",
+     "odd = prod([t for t, r in fs if r & 1])", "odd = prod([t for t, r in fs])",
+     ["tests/test_modularity.py::test_form_character_matches_the_full_product"]),
     # eta_factorize's budget.
     ("charge one sweep per factorization step", "etaproducts.py",
      "budget -= _sweep_count(c) * size", "budget -= size",

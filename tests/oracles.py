@@ -172,6 +172,14 @@ def gamma0_index(n: int) -> int:
     return int(idx)
 
 
+def newman_square_brute(factors) -> bool:
+    """Newman's condition 3 as stated: prod t^|r| is a perfect square."""
+    n = 1
+    for t, r in factors:
+        n *= t ** abs(r)
+    return arith.is_square(n)
+
+
 # -- random generators ----------------------------------------------------------
 
 

@@ -321,6 +321,24 @@ def test_nonpositive_margin_and_depth_are_usage_errors(argv, value, tmp_path,
     assert not cert.exists()
 
 
+_PAST_INDEX_SIZE = "1000000000000000000000"  # > 2^63
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "[1,1]", "--depth", _PAST_INDEX_SIZE],
+    ["factor", "[1,1]", "--depth", _PAST_INDEX_SIZE],
+    ["prove", str(RAMANUJAN), "--level", "6", "--yes", "--margin",
+     _PAST_INDEX_SIZE],
+    ["prove-up", str(U5FILE), "--level", "20", "--yes", "--margin",
+     _PAST_INDEX_SIZE],
+], ids=["expand", "factor", "prove", "prove-up"])
+def test_depth_or_margin_past_the_index_size_is_a_usage_error(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_flags_only_where_read(tmp_path, capsys):
     cert = tmp_path / "expand.json"
     code, _, _ = run(capsys, "expand", "[1,1]", "--json", str(cert))

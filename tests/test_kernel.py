@@ -396,9 +396,9 @@ def test_expand_with_prefactor_in_every_table_state(factors, depth, state):
     assert same(ep.expand(depth), want)
 
 
-@pytest.mark.parametrize("r", [-40, -8, -7, -5, -4, -3, -1, 1, 2, 5, 9, 25])
-def test_euler_power_matches_brute_by_either_fill(r):
-    # |r| in 5, 7, 8, 9, 25, 40 fills by Miller's recurrence, the rest by sweeps
+@pytest.mark.parametrize("r", [-40, -8, -7, -6, -5, -4, -3, -2, -1,
+                               1, 2, 3, 5, 6, 9, 25])
+def test_euler_power_matches_brute(r):
     depth = 45
     power = ppow(euler_brute(1, depth), abs(r), depth)
     want = power if r > 0 else pdiv({0: 1}, power, depth)
@@ -406,6 +406,32 @@ def test_euler_power_matches_brute_by_either_fill(r):
     assert {n: c for n, c in enumerate(got) if c} == want
     assert len(got) == depth
     assert _euler_power(r, 7) == got[:7]  # read from the stored entry
+
+
+def _sparse_terms(rng: random.Random, fractions: bool) -> list:
+    """(j, u_j) ascending from j = 1 on a sparse grid of x, nonzero u_j."""
+    step = rng.choice([1, 2, 5])
+    js = sorted(rng.sample(range(step, 13 * step, step), rng.randint(1, 4)))
+    return [(j, F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+             if fractions else rng.choice([-3, -2, -1, 1, 2, 5])) for j in js]
+
+
+@pytest.mark.parametrize("n", [*range(-6, 7), 40, -40])
+def test_miller_pow_matches_schoolbook_powers(n):
+    # the terms are (1 + sum terms) as they stand, for n = -1 as for any n
+    rng = random.Random(n)
+    for size in (0, 1, 2, 17, 40):
+        for fractions in (False, True):
+            terms = _sparse_terms(rng, fractions)
+            u = {0: 1, **dict(terms)}
+            power = ppow(u, abs(n), max(size, 1))  # pdiv reads its q^0
+            want = power if n >= 0 else pdiv({0: 1}, power, size)
+            got = qseries._miller_pow(terms, n, size)
+            assert len(got) == size
+            assert {k: c for k, c in enumerate(got) if c} == \
+                {k: c for k, c in want.items() if k < size}
+            if not fractions:
+                assert all(type(c) is int for c in got)
 
 
 def test_returned_lists_are_not_the_stored_ones():

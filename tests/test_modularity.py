@@ -11,9 +11,10 @@ from etaprover import (
     modular_form_check,
     modular_function_check,
 )
+from etaprover import arith, modularity
 from etaprover.errors import NotAFormError
 
-from oracles import random_modular_product
+from oracles import newman_square_brute, random_modular_product
 
 F = Fraction
 
@@ -93,6 +94,64 @@ def test_squaring_repairs_parity_failures():
         assert v2.conditions[0] and v2.conditions[1]
         assert v2.conditions[2] and v2.conditions[4]
         checked += 1
+
+
+def test_condition_3_matches_the_full_product():
+    rng = random.Random(18)
+    for _ in range(2000):
+        ts = rng.sample(range(1, 61), rng.randint(1, 5))
+        rs = [rng.choice([-1, 1]) * rng.choice([rng.randint(1, 6),
+                                                rng.randint(1, 3000)])
+              for _ in ts]
+        ep = EtaProduct(zip(ts, rs))
+        assert modular_function_check(ep, 1).conditions[2] == \
+            newman_square_brute(ep.factors)
+
+
+@pytest.mark.parametrize("flat, level, square, weight, disc", [
+    ([2, 24 * 10**6, 1, -24 * 10**6], 2, True, 0, 1),
+    ([1, 23999998, 2, -23999997, 4, 3, 8, -2], 8, False, 1, -8),
+])
+def test_square_and_character_read_exponent_parities(flat, level, square,
+                                                     weight, disc, monkeypatch):
+    # t^|r| is a square times t^(|r| mod 2): neither the square root nor the
+    # factorization ever sees the 24-million-bit product.  An argument over
+    # 8 bits fails before the real helper runs, which would take hours.
+    seen = []
+    def recording(name, real):
+        def wrapper(n):
+            seen.append(name)
+            assert n.bit_length() <= 8, f"{name} got {n.bit_length()} bits"
+            return real(n)
+        return wrapper
+    for name in ("is_square", "prime_factors"):
+        monkeypatch.setattr(modularity, name,
+                            recording(name, getattr(modularity, name)))
+    ep = EtaProduct.from_flat(flat)
+    assert modular_function_check(ep, level).conditions[2] == square
+    v = modular_form_check(ep, level)
+    assert (v.weight, v.character_disc) == (weight, disc)
+    assert v.character_raw.bit_length() > 24 * 10**6 - 2
+    assert set(seen) == {"is_square", "prime_factors"}
+
+
+def test_form_character_matches_the_full_product():
+    rng = random.Random(19)
+    checked = 0
+    while checked < 200:
+        level = rng.choice([8, 12, 20, 40, 72])
+        ts = rng.sample(arith.divisors(level), rng.randint(1, 4))
+        rs = [rng.choice([-1, 1]) * rng.randint(1, 200) for _ in ts]
+        for x in range(24):  # the conditions mod 24 fix the last exponent
+            try:
+                v = modular_form_check(
+                    EtaProduct(zip(ts, rs[:-1] + [rs[-1] + x])), level)
+            except NotAFormError:
+                continue
+            assert v.character_disc == \
+                modularity._fundamental_discriminant(v.character_raw)
+            checked += 1
+            break
 
 
 # -- form check ------------------------------------------------------------------

@@ -363,6 +363,7 @@ PROBE_CASES = [
     ("prove-up", _u7(6, 49), 300, "inside the probe"),
     ("prove-up", _u7(7, 50), 9, "past the probe"),     # probe 1 = q^0 only
     ("prove-up", _u7(7, 49), 100, "proved"),
+    ("prove", (_pq(10), 6), 14, "inside the probe"),   # probe 2 = 16 // 8
 ]
 
 

@@ -144,7 +144,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_cusps(args) -> int:
-    print(" ".join(str(c) for c in cusp_set(args.level)))
+    print(" ".join(map(str, cusp_set(args.level))))
     return 0
 
 
@@ -188,12 +188,14 @@ def _cmd_formcheck(args) -> int:
     except NotAFormError as exc:
         print(f"not a form on Gamma0({args.level}): {exc}", file=sys.stderr)
         return 2
-    print(f"level: {verdict.level}")
-    print(f"weight: {verdict.weight}")
-    print(f"character: kronecker({verdict.character_disc}, .)"
-          f"   (raw {verdict.character_raw})")
+    # every line is built before any is printed: the raw character can pass
+    # Python's int-to-str digit limit, and an error must leave stdout empty
+    lines = [f"level: {verdict.level}", f"weight: {verdict.weight}",
+             f"character: kronecker({verdict.character_disc}, .)"
+             f"   (raw {verdict.character_raw})"]
     if verdict.half_integral:
-        print("note: half-integral weight")
+        lines.append("note: half-integral weight")
+    print("\n".join(lines))
     return 0
 
 

@@ -19,6 +19,7 @@ of U_p, as integer numerators over one denominator (``_ligozat_sum`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable
 
@@ -101,9 +102,15 @@ def cusp_set(level: int) -> list[Cusp]:
 
     Deterministic order: divisors of the level ascending, numerators
     ascending within each divisor.  The entry with denominator equal to the
-    level represents the class of the infinite cusp.
+    level represents the class of the infinite cusp.  The cusps of recent
+    levels are cached; each call returns a fresh list.
     """
     check_positive(level=level)
+    return list(_cusps(level))
+
+
+@lru_cache(maxsize=128)
+def _cusps(level: int) -> tuple[Cusp, ...]:
     out: list[Cusp] = []
     for d in divisors(level):
         e = gcd(d, level // d)
@@ -116,7 +123,7 @@ def cusp_set(level: int) -> list[Cusp]:
                     x += e
                 picks.append(x)
         out += (Cusp(x, d) for x in sorted(picks))
-    return out
+    return tuple(out)
 
 
 def fan_width(cusp: Cusp, level: int) -> int:

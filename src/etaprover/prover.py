@@ -19,10 +19,10 @@ denominator, once per distinct cusp denominator.
 from __future__ import annotations
 
 import enum
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import floor, gcd, lcm
 from operator import mul
 from typing import Callable, Optional, Sequence
@@ -93,32 +93,54 @@ class ProofReport:
 
         ``command`` names the prover ("prove" or "prove-up"), ``source`` is
         the identity text it read and ``margin`` the requested margin.  The
-        bytes depend only on these and on the report.
+        bytes depend only on these and on the report, and equal those of
+        ``json.dumps(cert, indent=2, sort_keys=True) + "\\n"`` for the
+        certificate as a dict.  They are written by hand, each distinct cell
+        object formatted once.
         """
-        def strs(values):
-            return None if values is None else [str(v) for v in values]
+        q = encode_basestring_ascii
 
-        cert = {
-            "tool": f"etaprover {__version__}",
-            "command": command,
-            "input": source,
-            "level": self.level,
-            "margin": margin,
-            "verdict": self.verdict.value,
-            "B": str(self.bound),
-            "required_depth": self.required_depth,
-            "checked_depth": self.checked_depth,
-            "constants_warning": self.constants_warning,
-            "cusps": strs(self.cusps),
-            "terms": list(self.term_labels),
-            "ord_rows": [strs(row) for row in self.term_orders],
-            "column_minima": strs(self.column_minima),
-            "up_p": self.up_p,
-            "up_bounds": strs(self.up_bounds),
-            "failure": strs(self.failure),
-            "reason": self.reason,
-        }
-        return json.dumps(cert, indent=2, sort_keys=True) + "\n"
+        def array(items, pad="\n    "):  # json.dumps' indent=2 layout
+            return ("[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+                    if items else "[]")
+
+        def cells(values, pad="\n    "):
+            if values is None:
+                return "null"
+            return array(_cell_texts(values, lambda v: q(str(v))), pad)
+
+        fields = [  # in sorted key order
+            ("B", q(str(self.bound))),
+            ("checked_depth", str(self.checked_depth)),
+            ("column_minima", cells(self.column_minima)),
+            ("command", q(command)),
+            ("constants_warning", "true" if self.constants_warning
+             else "false"),
+            ("cusps", array(list(map(q, map(str, self.cusps))))),
+            ("failure", cells(self.failure)),
+            ("input", q(source)),
+            ("level", str(self.level)),
+            ("margin", str(margin)),
+            ("ord_rows", array([cells(row, "\n      ")
+                                for row in self.term_orders])),
+            ("reason", "null" if self.reason is None else q(self.reason)),
+            ("required_depth", str(self.required_depth)),
+            ("terms", array(list(map(q, self.term_labels)))),
+            ("tool", q(f"etaprover {__version__}")),
+            ("up_bounds", cells(self.up_bounds)),
+            ("up_p", "null" if self.up_p is None else str(self.up_p)),
+            ("verdict", q(self.verdict.value)),
+        ]
+        return "{\n  " + ",\n  ".join(
+            [f'"{k}": {v}' for k, v in fields]) + "\n}\n"
+
+
+def _cell_texts(values, fmt=str) -> list[str]:
+    """[fmt(v) for v in values], calling fmt once per distinct object: the
+    order table shares one Fraction per value among its cells."""
+    ids = list(map(id, values))
+    text = {k: fmt(v) for k, v in dict(zip(ids, values)).items()}
+    return list(map(text.__getitem__, ids))
 
 
 def normalize_identity(combo: EtaCombo) -> EtaCombo:
@@ -329,13 +351,13 @@ def format_order_table(report: ProofReport) -> str:
     term, the Gordon-Hughes bound column when present, and the columnwise
     minimum that the bound B sums."""
     cols = [["cusp", *map(str, report.cusps)]]
-    cols += [[f"ORD(f_{i})", *map(str, orders)]
+    cols += [[f"ORD(f_{i})", *_cell_texts(orders)]
              for i, orders in enumerate(report.term_orders, start=1)]
     if report.up_bounds is not None:
-        cols.append([f"U_{report.up_p} bound", *map(str, report.up_bounds)])
-    cols.append(["lower bound", *map(str, report.column_minima)])
+        cols.append([f"U_{report.up_p} bound", *_cell_texts(report.up_bounds)])
+    cols.append(["lower bound", *_cell_texts(report.column_minima)])
     widths = [max(map(len, col)) for col in cols]
     cols = [[cell.rjust(w) for cell in col] for col, w in zip(cols, widths)]
-    lines = [" | ".join(row) for row in zip(*cols)]
+    lines = list(map(" | ".join, zip(*cols)))
     lines.insert(1, "-+-".join("-" * w for w in widths))
     return "\n".join(lines)

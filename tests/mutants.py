@@ -45,6 +45,7 @@ UP_ROW = ("tests/test_up.py::"
           "test_up_row_per_denominator_equals_checked_bound_at_every_cusp")
 GOLDEN = "tests/test_golden.py::test_certificate_bytes"
 ORDERS = "tests/test_golden.py::test_orders_stdout_bytes"
+WRITERS = "tests/test_writers.py::test_order_table_with_unshared_cells"
 
 MUTANTS = [
     # The list builder and its seed choice.
@@ -138,6 +139,24 @@ MUTANTS = [
      'fracs = _order_table.__dict__.setdefault("fracs", {})',
      ["tests/test_prover.py::test_order_rows_equal_per_cusp_orders",
       DIFFERENTIAL]),
+    # The certificate writer and the order-table formatter.
+    ("swap two adjacent keys in the certificate", "prover.py",
+     '            ("level", str(self.level)),\n'
+     '            ("margin", str(margin)),\n',
+     '            ("margin", str(margin)),\n'
+     '            ("level", str(self.level)),\n',
+     [GOLDEN + "[prove_pq_bound_only.json]", WRITERS]),
+    ("indent the order rows' cells like the outer lists", "prover.py",
+     'cells(row, "\\n      ")', 'cells(row, "\\n    ")',
+     [GOLDEN + "[prove_pq_bound_only.json]", WRITERS]),
+    ("give every cell object the first cell's text", "prover.py",
+     "text = {k: fmt(v) for k, v in dict(zip(ids, values)).items()}",
+     "text = dict.fromkeys(ids, fmt(values[0]))",
+     [ORDERS + "[orders_pq_level2520.txt]", WRITERS]),
+    # The cache of cusp sets.
+    ("hand out the cached cusps without copying", "cusps.py",
+     "return list(_cusps(level))", "return _cusps(level)",
+     ["tests/test_cusps.py::test_cusp_set_is_cached_per_level_as_a_fresh_list"]),
     # The refutation probe.
     ("probe a ninth of the depth", "prover.py",
      "depth // _PROBE_SHARE)", "depth // (_PROBE_SHARE + 1))",

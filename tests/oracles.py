@@ -9,12 +9,14 @@ coefficient.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import ceil, gcd
 from operator import mul
 
 from etaprover import Cusp, EtaProduct, QSeries, arith, modular_function_check
+from etaprover import __version__
 from etaprover.errors import NotAnEtaProductError
 
 # -- dense integer-exponent polynomial helpers --------------------------------
@@ -328,3 +330,52 @@ def euler_sweep_scalar(a: list, t: int, r: int) -> None:
                         break
                     s += c * a[n - e]
                 a[n] += s
+
+
+# -- reference writers ------------------------------------------------------------
+
+
+def certificate_json(report, command: str, source: str, margin: int) -> str:
+    """The library's earlier ``ProofReport.to_json``: the certificate as a
+    dict, written by ``json.dumps`` with every cell formatted on its own.
+    The library now writes the same bytes by hand."""
+    def strs(values):
+        return None if values is None else [str(v) for v in values]
+
+    cert = {
+        "tool": f"etaprover {__version__}",
+        "command": command,
+        "input": source,
+        "level": report.level,
+        "margin": margin,
+        "verdict": report.verdict.value,
+        "B": str(report.bound),
+        "required_depth": report.required_depth,
+        "checked_depth": report.checked_depth,
+        "constants_warning": report.constants_warning,
+        "cusps": strs(report.cusps),
+        "terms": list(report.term_labels),
+        "ord_rows": [strs(row) for row in report.term_orders],
+        "column_minima": strs(report.column_minima),
+        "up_p": report.up_p,
+        "up_bounds": strs(report.up_bounds),
+        "failure": strs(report.failure),
+        "reason": report.reason,
+    }
+    return json.dumps(cert, indent=2, sort_keys=True) + "\n"
+
+
+def order_table_text(report) -> str:
+    """The library's earlier ``format_order_table``, which formats every cell
+    on its own; the library now formats each distinct cell object once."""
+    cols = [["cusp", *map(str, report.cusps)]]
+    cols += [[f"ORD(f_{i})", *map(str, orders)]
+             for i, orders in enumerate(report.term_orders, start=1)]
+    if report.up_bounds is not None:
+        cols.append([f"U_{report.up_p} bound", *map(str, report.up_bounds)])
+    cols.append(["lower bound", *map(str, report.column_minima)])
+    widths = [max(map(len, col)) for col in cols]
+    cols = [[cell.rjust(w) for cell in col] for col, w in zip(cols, widths)]
+    lines = [" | ".join(row) for row in zip(*cols)]
+    lines.insert(1, "-+-".join("-" * w for w in widths))
+    return "\n".join(lines)

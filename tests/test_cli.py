@@ -210,6 +210,14 @@ def test_formcheck_rejects(capsys):
     assert code == 2
 
 
+def test_formcheck_prints_nothing_before_an_error(capsys):
+    # the raw character 2^2400000 passes Python's int-to-str digit limit
+    code, out, err = run(capsys, "formcheck", "[2,2400000,1,-2400000]", "2")
+    assert code == 3
+    assert out == ""
+    assert err.count("error:") == 1 and err.startswith("error:")
+
+
 def test_orders_single_product(capsys):
     code, out, _ = run(capsys, "orders",
                        "[20,-3,10,5,5,-2,4,15,2,-25,1,10]", "20")

@@ -92,6 +92,21 @@ def test_cusp_set_matches_brute_force_in_order():
         assert cusp_set(n) == cusp_set_brute(n), n
 
 
+def test_cusp_set_is_cached_per_level_as_a_fresh_list():
+    from etaprover.cusps import _cusps
+
+    first = cusp_set(2520)
+    assert cusp_set(2520) is not first
+    first.reverse()
+    first.append(Cusp(1, 7))
+    assert cusp_set(2520) == cusp_set_brute(2520)
+    assert _cusps.cache_info().hits > 0
+    assert 0 < _cusps.cache_info().maxsize < 1000
+    for level in (0, -6):
+        with pytest.raises(ValueError):
+            cusp_set(level)
+
+
 def test_cusp_count_oracle_small_levels():
     for n in range(1, 61):
         expected = sum(totient(gcd(d, n // d))

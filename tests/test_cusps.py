@@ -17,6 +17,7 @@ from etaprover import (
 )
 
 from etaprover.arith import divisors as fast_divisors
+from etaprover.cusps import _cusps
 
 from oracles import (
     cusp_set_brute,
@@ -93,8 +94,6 @@ def test_cusp_set_matches_brute_force_in_order():
 
 
 def test_cusp_set_is_cached_per_level_as_a_fresh_list():
-    from etaprover.cusps import _cusps
-
     first = cusp_set(2520)
     assert cusp_set(2520) is not first
     first.reverse()

@@ -81,9 +81,9 @@ def test_prove_missing_file(capsys):
 
 
 def test_prove_on_up_file_is_usage_error(capsys):
-    code, _, err = run(capsys, "prove", str(U5FILE), "--level", "20", "--yes")
-    assert code == 3
-    assert "prove-up" in err
+    code, out, err = run(capsys, "prove", str(U5FILE), "--level", "20", "--yes")
+    assert (code, out) == (3, "")
+    assert err == "error: this file holds a U_p identity; use prove-up\n"
 
 
 def test_prove_json_certificate_reproducible(tmp_path, capsys):
@@ -131,8 +131,9 @@ def test_prove_up_perturbed_refuted(tmp_path, capsys):
 
 
 def test_prove_up_on_linear_file_is_usage_error(capsys):
-    code, _, err = run(capsys, "prove-up", str(RAMANUJAN), "--level", "6")
-    assert code == 3
+    code, out, err = run(capsys, "prove-up", str(RAMANUJAN), "--level", "6")
+    assert (code, out) == (3, "")
+    assert err == "error: this file holds a linear identity; use prove\n"
 
 
 def test_prove_up_json(tmp_path, capsys):

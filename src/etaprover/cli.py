@@ -103,9 +103,7 @@ def _cmd_prove(args) -> int:
     up = args.command == "prove-up"
     if isinstance(ident, UpIdentity) != up:
         held, use = ("a linear", "prove") if up else ("a U_p", "prove-up")
-        print(f"error: this file holds {held} identity; use {use}",
-              file=sys.stderr)
-        return 3
+        raise ValueError(f"this file holds {held} identity; use {use}")
     if up:
         report = prove_up_identity(ident.product, ident.p, ident.rhs,
                                    args.level, margin=args.margin,

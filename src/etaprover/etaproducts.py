@@ -153,8 +153,7 @@ class EtaCombo:
     def __init__(self, constant: Rat = 0,
                  terms: Iterable[tuple[Rat, EtaProduct]] = ()):
         const = Fraction(constant)
-        order: list[EtaProduct] = []
-        acc: dict[EtaProduct, Fraction] = {}
+        acc: dict[EtaProduct, Fraction] = {}  # in first-occurrence order
         for a, f in terms:
             a = Fraction(a)
             if not isinstance(f, EtaProduct):
@@ -164,10 +163,9 @@ class EtaCombo:
             elif f in acc:
                 acc[f] += a
             else:
-                order.append(f)
                 acc[f] = a
         self._constant = const
-        self._terms = tuple([(acc[f], f) for f in order if acc[f] != 0])
+        self._terms = tuple([(a, f) for f, a in acc.items() if a != 0])
 
     @property
     def constant(self) -> Fraction:

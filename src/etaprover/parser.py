@@ -12,13 +12,14 @@ The surface language:
 
 Expressions lower to :class:`EtaCombo` values as they are read.  Division
 is only defined by a constant or by a single eta-product monomial; anything
-else reports the offending subexpression with its source position.
+else reports the offending subexpression with its source position.  A
+character that starts no token is a token too, reported when parsed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple, NoReturn, Union
 
 from .errors import LoweringError, ParseError
 from .etaproducts import EtaCombo, EtaProduct
@@ -32,7 +33,7 @@ _PUNCT = "+-*/^()[],;="
 
 
 class _Token(NamedTuple):
-    kind: str  # "int", "name", one of _PUNCT, or "eof"
+    kind: str  # "int", "name", one of _PUNCT, "bad" or "eof"
     text: str
     line: int
     col: int
@@ -40,42 +41,31 @@ class _Token(NamedTuple):
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
+    line, start = 1, 0  # the line number and the offset where it starts
+    i, n = 0, len(text)
     while i < n:
         ch = text[i]
+        j = i + 1
         if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
+            line, start = line + 1, j
         elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch.isdecimal():
-            start = i
-            c0 = col
-            while i < n and text[i].isdecimal():
-                i += 1
-                col += 1
-            toks.append(_Token("int", text[start:i], line, c0))
-        elif ch.isalpha() or ch == "_":
-            start = i
-            c0 = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            toks.append(_Token("name", text[start:i], line, c0))
-        elif ch in _PUNCT:
-            toks.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
+            j = text.find("\n", i)
+            if j < 0:
+                break
+        elif ch not in " \t\r":
+            if ch.isdecimal():
+                kind = "int"
+                while j < n and text[j].isdecimal():
+                    j += 1
+            elif ch.isalpha() or ch == "_":
+                kind = "name"
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+            else:
+                kind = ch if ch in _PUNCT else "bad"
+            toks.append(_Token(kind, text[i:j], line, i - start + 1))
+        i = j
+    toks.append(_Token("eof", "", line, n - start + 1))
     return toks
 
 
@@ -96,9 +86,9 @@ class UpIdentity:
 
 
 class _Parser:
-    """Recursive descent that lowers each construct to an :class:`EtaCombo`
-    as soon as it is read, so the leftmost error in the text is the one
-    reported.  ``env`` holds the values of the ``let`` bindings read so far.
+    """Recursive descent that lowers each construct as soon as it is read
+    and meets every syntax error in the same pass, so the leftmost error in
+    the text is the one reported.  ``env`` holds the ``let`` bindings so far.
     """
 
     def __init__(self, text: str):
@@ -116,11 +106,16 @@ class _Parser:
         return t
 
     def expect(self, kind: str) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            what = t.text or "end of input"
-            raise ParseError(f"expected {kind!r}, found {what!r}", t.line, t.col)
+        if self.peek().kind != kind:
+            self.unexpected(repr(kind))
         return self.next()
+
+    def unexpected(self, wanted: str) -> NoReturn:
+        t = self.peek()
+        if t.kind == "bad":
+            raise ParseError(f"unexpected character {t.text!r}", t.line, t.col)
+        what = t.text or "end of input"
+        raise ParseError(f"expected {wanted}, found {what!r}", t.line, t.col)
 
     def signed_int(self) -> int:
         sign = 1
@@ -222,8 +217,7 @@ class _Parser:
             if t.text not in self.env:
                 raise LoweringError(f"unknown name {t.text!r}", t.line, t.col)
             return self.env[t.text]
-        what = t.text or "end of input"
-        raise ParseError(f"expected an expression, found {what!r}", t.line, t.col)
+        self.unexpected("an expression")
 
     # bracket := "[" ["-"] INT {"," ["-"] INT} "]", an even number of entries
     def bracket(self) -> EtaCombo:

@@ -169,6 +169,23 @@ MUTANTS = [
     ("read the character from every t", "modularity.py",
      "odd = prod([t for t, r in fs if r & 1])", "odd = prod([t for t, r in fs])",
      ["tests/test_modularity.py::test_form_character_matches_the_full_product"]),
+    # The tokenizer, which leaves every error to the parser.
+    ("raise in the tokenizer at a bad character", "parser.py",
+     '                kind = ch if ch in _PUNCT else "bad"\n',
+     "                if ch not in _PUNCT:\n"
+     "                    raise ParseError(f'unexpected character {ch!r}',"
+     " line, i - start + 1)\n"
+     "                kind = ch\n",
+     ["tests/test_parser.py::test_leftmost_error_is_reported"]),
+    ("report a bad token as 'expected ..., found'", "parser.py",
+     'if t.kind == "bad":', "if False:",
+     ["tests/test_parse_golden.py"]),  # its eta(1.5) - 1 row
+    ("start a line one place after its newline", "parser.py",
+     "line, start = line + 1, j", "line, start = line + 1, j + 1",
+     ["tests/test_parser.py::test_up_argument_error_points_at_its_first_token"]),
+    ("let a name start with a numeral", "parser.py",
+     'elif ch.isalpha() or ch == "_":', 'elif ch.isalnum() or ch == "_":',
+     ["tests/test_parser.py::test_integer_literals_are_decimal_digits"]),
     # eta_factorize's budget.
     ("charge one sweep per factorization step", "etaproducts.py",
      "budget -= _sweep_count(c) * size", "budget -= size",

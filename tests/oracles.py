@@ -17,7 +17,8 @@ from operator import mul
 
 from etaprover import Cusp, EtaProduct, QSeries, arith, modular_function_check
 from etaprover import __version__
-from etaprover.errors import NotAnEtaProductError
+from etaprover.errors import NotAnEtaProductError, ParseError
+from etaprover.parser import _Token
 
 # -- dense integer-exponent polynomial helpers --------------------------------
 
@@ -379,3 +380,52 @@ def order_table_text(report) -> str:
     lines = [" | ".join(row) for row in zip(*cols)]
     lines.insert(1, "-+-".join("-" * w for w in widths))
     return "\n".join(lines)
+
+
+# -- reference tokenizer -----------------------------------------------------------
+
+_PUNCT = "+-*/^()[],;="
+
+def reference_tokenize(text: str) -> list[_Token]:
+    """The library's earlier ``parser._tokenize``: it counts columns one
+    character at a time and raises at the first character that starts no
+    token.  The library's tokenizer now makes that character a ``bad`` token
+    and leaves the error to the parser."""
+    toks: list[_Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            i += 1
+            col += 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch.isdecimal():
+            start = i
+            c0 = col
+            while i < n and text[i].isdecimal():
+                i += 1
+                col += 1
+            toks.append(_Token("int", text[start:i], line, c0))
+        elif ch.isalpha() or ch == "_":
+            start = i
+            c0 = col
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+                col += 1
+            toks.append(_Token("name", text[start:i], line, c0))
+        elif ch in _PUNCT:
+            toks.append(_Token(ch, ch, line, col))
+            i += 1
+            col += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(_Token("eof", "", line, col))
+    return toks

@@ -138,6 +138,15 @@ def test_combo_merges_equal_products():
     f = EtaProduct.from_flat([2, 1, 1, -1])
     c = EtaCombo(0, [(2, f), (5, f)])
     assert c.terms == ((F(7), f),)
+    # merged terms keep the place of their first occurrence, and a term
+    # whose coefficients cancel drops out without moving the others
+    g, h = EtaProduct.from_flat([5, 1]), EtaProduct.from_flat([3, 2])
+    c = EtaCombo(0, [(1, g), (2, f), (3, g), (4, h)])
+    assert c.terms == ((F(4), g), (F(2), f), (F(4), h))
+    c = EtaCombo(0, [(1, g), (2, f), (-1, g), (4, h)])
+    assert c.terms == ((F(2), f), (F(4), h))
+    c = EtaCombo(0, [(1, g), (2, f), (4, h), (-2, f)])
+    assert c.terms == ((F(1), g), (F(4), h))
 
 
 def test_combo_drops_zero_terms():

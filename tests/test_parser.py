@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etaprover import (
     EtaCombo,
@@ -14,8 +15,9 @@ from etaprover import (
     parse_program,
 )
 from etaprover.errors import LoweringError, ParseError
+from etaprover.parser import _tokenize
 
-from oracles import random_eta_product
+from oracles import random_eta_product, reference_tokenize
 
 F = Fraction
 
@@ -95,14 +97,24 @@ def test_leftmost_error_is_reported():
     # a lowering error before a syntax error in the same statement
     for text, where in [("B + (", (1, 1)), ("let A = 1/0 A", (1, 10)),
                         ("1 +\n(eta(1)+1)^-1 )", (2, 11)),
-                        ("U(5) 2*eta(1) = 1 1", (1, 6))]:
+                        ("U(5) 2*eta(1) = 1 1", (1, 6)),
+                        # ... and before a character that starts no token
+                        ("B + $", (1, 1)), ("1/0 $", (1, 2)),
+                        ("let A = 1/0 $", (1, 10)), ("eta(0) + 1.5", (1, 1)),
+                        ("(eta(1)+1)^-1 + \u00b2", (1, 11))]:
         with pytest.raises(LoweringError) as err:
             parse_program(text)
         assert (err.value.line, err.value.column) == where, text
-    # a syntax error before a lowering error
-    with pytest.raises(ParseError) as err:
-        parse_program("( * B")
-    assert (err.value.line, err.value.column) == (1, 3)
+    # a syntax error before a lowering error or a bad character, and the
+    # end of input, which is at the end of the text after a final comment
+    for text, message in [
+            ("( * B", "expected an expression, found '*' (line 1, column 3)"),
+            ("( * $", "expected an expression, found '*' (line 1, column 3)"),
+            ("1 + # c", "expected an expression, found 'end of input'"
+                        " (line 1, column 8)")]:
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value) == message, text
 
 
 def test_syntax_error_has_position():
@@ -111,7 +123,44 @@ def test_syntax_error_has_position():
     assert err.value.line == 1
     with pytest.raises(ParseError) as err:
         parse_program("[1,2,\n3]")
-    assert err.value.line == 2 or err.value.line == 1
+    assert str(err.value) == ("bracket list needs an even number of entries"
+                              " (line 1, column 1)")
+
+
+# Pieces of identity text: the grammar's punctuation, blanks, comments with
+# and without a newline, digits of several scripts, numerals that are not
+# digits, letters, and characters that start no token.
+_PIECES = [*"+-*/^()[],;=", " ", "\t", "\r", "\n", "\r\n", "#", "# c",
+           "# c\n", "0", "7", "12", "\u0663", "\U0001d7d8", "\u00b2",
+           "\u00bd", "\u216b", "\u00e9", "_", "a", "eta", "$", ".",
+           "\u00a0", "\ufeff", "\u2028", "\x0b"]
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+def test_tokenizer_matches_the_reference(text):
+    toks = _tokenize(text)
+    try:
+        ref = reference_tokenize(text)
+    except ParseError as exc:
+        # the reference stops at the first bad character; the tokenizer
+        # makes it a token, and its tokens before it are the reference's
+        k = next(k for k, t in enumerate(toks) if t.kind == "bad")
+        bad = toks[k]
+        assert str(exc) == (f"unexpected character {bad.text!r}"
+                            f" (line {bad.line}, column {bad.col})")
+        lines = text.split("\n")
+        offset = sum(map(len, lines[:bad.line - 1])) + bad.line - 1 + bad.col - 1
+        assert text[offset] == bad.text
+        assert toks[:k] == reference_tokenize(text[:offset])[:-1]
+        return
+    last = text.rsplit("\n", 1)[-1]
+    if "#" in last:
+        # an unterminated final comment: the reference's column count stops
+        # at its "#", and the tokenizer puts eof at the end of the text
+        assert ref[-1].col == last.index("#") + 1
+        ref[-1] = ref[-1]._replace(col=len(last) + 1)
+    assert toks == ref
 
 
 def test_nested_parentheses_are_limited():

@@ -4,11 +4,12 @@ that must then fail.
     python tests/mutants.py        # every mutant
     python tests/mutants.py 3 7    # the mutants numbered 3 and 7
 
-The repository is copied once into a temporary directory.  The test files
-the rows name first run there unmutated and must pass.  Then each mutant is
-applied alone, its tests run with ``python -m pytest -x -q -p
-no:cacheprovider``, and the file is restored.  A mutant is killed when its
-tests fail.  One line is printed per mutant; the exit code is 1 when a mutant
+The repository is copied into two temporary directories.  The test files
+the rows name first run in one copy unmutated and must pass.  Then two
+mutants run at a time, each applied alone to a copy no other mutant is
+using: its tests run with ``python -m pytest -x -q -p no:cacheprovider``,
+and the file is restored.  A mutant is killed when its tests fail.  One
+line is printed per mutant, in row order; the exit code is 1 when a mutant
 survives, when an old text does not occur exactly once in its file, or when
 the unmutated tests fail.  Pytest does not collect this file.
 
@@ -20,14 +21,17 @@ with the code it breaks.
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKERS = 2  # mutants tested at a time, each in its own copy
 
 SEED = "tests/test_kernel.py::test_expansions_seed_the_same_factors"
 EXPAND = ["tests/test_kernel.py", "-k", "expand"]
@@ -214,29 +218,40 @@ def main(argv: list) -> int:
             print(f"{i:3} UNMATCHED {name}: old text occurs {count} times"
                   f" in {path}")
     with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
+        free = queue.Queue()  # the copies no mutant is using
+        for k in range(WORKERS):
+            copy = Path(tmp) / f"repo{k}"
+            shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+                ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
+            free.put(copy)
         files = sorted({a.split("::")[0] for _, row in rows for a in row[4]
                         if a.startswith("tests/")})
         if _pytest(copy, files):
             print("the tests fail without any mutant: " + " ".join(files))
             return 1
-        survived = []
-        for i, (name, path, old, new, args) in rows:
-            if i in unmatched:
-                continue
+
+        def run(row):
+            _, (_, path, old, new, args) = row
+            copy = free.get()
             target = copy / "src" / "etaprover" / path
             text = target.read_text()
             target.write_text(text.replace(old, new))
             t0 = time.perf_counter()
             code = _pytest(copy, args)
             target.write_text(text)
-            killed = code in (1, 2)  # tests failed, or collection broke
-            if not killed:
-                survived.append(i)
-            print(f"{i:3} {'killed  ' if killed else 'SURVIVED'} {name}"
-                  f"  ({time.perf_counter() - t0:.1f} s, pytest exit {code})")
+            free.put(copy)
+            return code, time.perf_counter() - t0
+
+        todo = [row for row in rows if row[0] not in unmatched]
+        survived = []
+        with ThreadPoolExecutor(WORKERS) as pool:
+            results = pool.map(run, todo)  # in row order
+            for (i, (name, *_)), (code, secs) in zip(todo, results):
+                killed = code in (1, 2)  # tests failed, or collection broke
+                if not killed:
+                    survived.append(i)
+                print(f"{i:3} {'killed  ' if killed else 'SURVIVED'} {name}"
+                      f"  ({secs:.1f} s, pytest exit {code})", flush=True)
     print(f"{len(rows)} mutants: {len(rows) - len(survived) - len(unmatched)} "
           f"killed, {len(survived)} survived, {len(unmatched)} unmatched, "
           f"in {time.perf_counter() - start:.0f} s")

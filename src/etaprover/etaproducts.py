@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import NotAnEtaProductError
 from .qseries import (QSeries, _euler_sweep, _lattice24, _product_list,
-                      _sweep_count)
+                      _sweep_count, _unit_list)
 
 __all__ = ["EtaProduct", "EtaCombo", "eta_factorize"]
 
@@ -337,7 +337,7 @@ def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
     u = f.shifted(-e0).truncated(rel_depth)
     confidence = int(rel_depth) // 2
     size = max(0, ceil(u.trunc))
-    a = [0] * size  # u as a dense list
+    a = _unit_list(size)  # u as a dense list
     for e, c in zip(u._e, u._c):
         if e % 24:
             raise NotAnEtaProductError(

@@ -215,8 +215,6 @@ class QSeries:
         k = _coeff(k)
         if k == 0:
             return QSeries._raw((), (), self._t)
-        if k == 1:
-            return self
         return QSeries._raw(self._e, tuple([_coeff(k * c) for c in self._c]), self._t)
 
     def __mul__(self, other) -> "QSeries":
@@ -231,8 +229,6 @@ class QSeries:
         if other._t is not None and la is not None:
             cands.append(other._t + la)
         t = min(cands) if cands else None
-        if not self._e or not other._e:
-            return QSeries._raw((), (), t)
         a, b = (self, other) if len(self._e) <= len(other._e) else (other, self)
         be, bc = b._e, b._c
         acc: dict[int, Coefficient] = {}
@@ -260,8 +256,6 @@ class QSeries:
         return self._shift(_lattice24(e))
 
     def _shift(self, n24: int) -> "QSeries":
-        if n24 == 0:
-            return self
         return QSeries._raw(
             tuple([e + n24 for e in self._e]), self._c,
             None if self._t is None else self._t + n24)
@@ -406,16 +400,27 @@ def _jacobi_cube(limit: int) -> list[tuple[int, int]]:
             if k * (k + 1) < 2 * limit]
 
 
+_MAX_SIZE = 2 ** 20  # coefficients in one dense list: 8 MiB of references
+
+
+def _unit_list(size: int) -> list:
+    """[1, 0, ..., 0], the series 1 below x^size.  Past _MAX_SIZE it raises
+    ValueError, so a huge depth or margin is a usage error, not an allocation."""
+    if size > _MAX_SIZE:
+        raise ValueError(f"a series of {size} coefficients is past the limit "
+                         f"of {_MAX_SIZE}")
+    return [1][:size] + [0] * (size - 1)
+
+
 def _miller_pow(terms: list, n: int, size: int) -> list:
     """Dense v = u**n below x^size for u = 1 + sum_j u_j x^j, the (j, u_j) in
     ``terms`` ascending from j = 1, by J.C.P. Miller's recurrence: v_0 = 1 and
     k v_k = sum_{j=1..k} ((n+1) j - k) u_j v_(k-j), at O(size nnz(u)) for any
-    n.  For n = -1 every weight is -k, so the weights and the division drop
-    out: v_k = -sum_j u_j v_(k-j), the triangular inverse.  Integer u_j give
-    integer v_k, since k v_k is then a multiple of k."""
+    n, inverses included.  Integer u_j give integer v_k, since k v_k is then a
+    multiple of k.  A size past ``_MAX_SIZE`` raises ValueError."""
     w = n + 1
     integral = all(type(c) is int for _, c in terms)
-    v: list = [1][:size] + [0] * (size - 1)
+    v = _unit_list(size)
     for k in range(1, size):
         s = 0
         for j, c in terms:
@@ -423,10 +428,8 @@ def _miller_pow(terms: list, n: int, size: int) -> list:
                 break
             vj = v[k - j]
             if vj:
-                s += (w * j - k) * c * vj if w else c * vj
-        if not w:
-            s = -s
-        elif s:
+                s += (w * j - k) * c * vj
+        if s:
             s = s // k if integral else Fraction(s, k)
         v[k] = s
     return v
@@ -469,9 +472,10 @@ def _euler_sweep(a: list, t: int, r: int) -> None:
 
 # Dense prod_{n>=1} (1 - q^n)^r by r, shared by every expansion in the
 # process, since (q^t;q^t)^r is this series spread out.  Filled on demand, so
-# import does no work.  The deep benchmark workload holds at most 8 entries of
-# 3946 coefficients in all (179 KiB); the caps bound what a stream of distinct
-# exponents or depths can hold (least recently used out, a longer request not kept).
+# import does no work.  The deep benchmark workload holds 9 entries of 3938
+# coefficients in all (179 KiB) after its warm-ups and 10 seed-1 blocks, and no
+# more after its 20; the caps bound what a stream of distinct exponents or
+# depths can hold (least recently used out, a longer request not kept).
 _POWERS: dict[int, list] = {}
 _MAX_ENTRIES, _MAX_COEFFS = 32, 16384
 
@@ -494,7 +498,7 @@ def _product_list(factors: tuple, size: int) -> list:
     read from the power table, and every other factor sweeps it."""
     _, t0, r0 = max(((_sweep_count(r) / sqrt(t), t, r) for t, r in factors
                      if t < size), default=(0, 0, 0))
-    a = [1][:size] + [0] * (size - 1)
+    a = _unit_list(size)
     if t0:
         a[::t0] = _euler_power(r0, -(-size // t0))
     for t, r in factors:

@@ -70,12 +70,16 @@ MUTANTS = [
     ("fill the table from the pentagonal series without q^1", "qseries.py",
      "_miller_pow(_pentagonal(size)[1:], r, size)",
      "_miller_pow(_pentagonal(size)[2:], r, size)", [POWER]),
-    ("drop the n = -1 sign", "qseries.py",
-     "            s = -s\n", "            pass\n",
+    ("treat n = -1 as n = 0", "qseries.py",
+     "    w = n + 1\n", "    w = n + 1 or 1\n",
      [MILLER, "tests/test_pow_golden.py"]),
     ("floor Fraction powers", "qseries.py",
      "s = s // k if integral else Fraction(s, k)", "s = s // k",
      ["tests/test_pow_golden.py"]),
+    # The one allocator of dense lists and its size limit.
+    ("accept one list past the limit", "qseries.py",
+     "if size > _MAX_SIZE:", "if size > _MAX_SIZE + 1:",
+     ["tests/test_kernel.py::test_dense_lists_stop_at_the_size_limit"]),
     # QSeries internals.
     ("drop the top term of an exact product", "qseries.py",
      "lim = be[-1] + 1 if t is None else t - ea",

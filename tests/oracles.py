@@ -305,7 +305,7 @@ def eta_factorize_logspace(f: QSeries, depth=None) -> EtaProduct:
     return ep
 
 
-# -- reference sweep -------------------------------------------------------------
+# -- reference kernels ------------------------------------------------------------
 
 
 def euler_sweep_scalar(a: list, t: int, r: int) -> None:
@@ -331,6 +331,30 @@ def euler_sweep_scalar(a: list, t: int, r: int) -> None:
                         break
                     s += c * a[n - e]
                 a[n] += s
+
+
+def miller_pow_inverse_branch(terms: list, n: int, size: int) -> list:
+    """The library's earlier ``_miller_pow``, kept as a reference for its
+    n = -1 branch: there it dropped the weights and the division and negated
+    the plain sum, the triangular inverse.  The library now runs the general
+    recurrence for every n."""
+    w = n + 1
+    integral = all(type(c) is int for _, c in terms)
+    v: list = [1][:size] + [0] * (size - 1)
+    for k in range(1, size):
+        s = 0
+        for j, c in terms:
+            if j > k:
+                break
+            vj = v[k - j]
+            if vj:
+                s += (w * j - k) * c * vj if w else c * vj
+        if not w:
+            s = -s
+        elif s:
+            s = s // k if integral else Fraction(s, k)
+        v[k] = s
+    return v
 
 
 # -- reference writers ------------------------------------------------------------

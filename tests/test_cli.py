@@ -331,6 +331,7 @@ def test_nonpositive_margin_and_depth_are_usage_errors(argv, value, tmp_path,
 
 
 _PAST_INDEX_SIZE = "1000000000000000000000"  # > 2^63
+_TWO_63, _TWO_63_LESS_1 = "9223372036854775808", "9223372036854775807"
 
 
 @pytest.mark.parametrize("argv", [
@@ -340,7 +341,13 @@ _PAST_INDEX_SIZE = "1000000000000000000000"  # > 2^63
      _PAST_INDEX_SIZE],
     ["prove-up", str(U5FILE), "--level", "20", "--yes", "--margin",
      _PAST_INDEX_SIZE],
-], ids=["expand", "factor", "prove", "prove-up"])
+    ["expand", "[1,1]", "--depth", _TWO_63],
+    ["factor", "[1,1]", "--depth", _TWO_63_LESS_1],
+    ["factor", "1", "--depth", _TWO_63_LESS_1],
+    ["prove", str(RAMANUJAN), "--level", "6", "--yes", "--margin",
+     _TWO_63_LESS_1],
+], ids=["expand", "factor", "prove", "prove-up", "expand-2^63",
+        "factor-2^63-1", "factor-constant-2^63-1", "prove-2^63-1"])
 def test_depth_or_margin_past_the_index_size_is_a_usage_error(argv, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 3

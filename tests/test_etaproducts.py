@@ -284,6 +284,7 @@ def test_sum_and_constant_powers_unchanged(n):
 COMBO = EtaCombo(1, [(2, EtaProduct.from_flat([5, 6, 1, -6])),
                      (F(-1, 3), EtaProduct.from_flat([2, 1]))])
 SERIES = QSeries([(0, 3), (1, -2), (F(5, 2), 1)], 4)
+EXACT = QSeries([(0, 1), (F(1, 2), -1)])
 HALF_COMBO = ("EtaCombo(Fraction(1, 2), [(Fraction(1, 1), EtaProduct.from_flat("
               "[5, 6, 1, -6])), (Fraction(-1, 6), EtaProduct.from_flat([2, 1]))])")
 
@@ -300,10 +301,21 @@ HALF_COMBO = ("EtaCombo(Fraction(1, 2), [(Fraction(1, 1), EtaProduct.from_flat("
     (lambda: str(SERIES - 1), "2 - 2*q + q^(5/2) + O(q^4)"),
     (lambda: str(1 - SERIES), "-2 + 2*q - q^(5/2) + O(q^4)"),
     (lambda: repr(SERIES * 0), "QSeries([], trunc=4)"),
+    (lambda: str(SERIES * 1), "3 - 2*q + q^(5/2) + O(q^4)"),
+    (lambda: str(SERIES / 1), "3 - 2*q + q^(5/2) + O(q^4)"),
+    (lambda: str(SERIES.shifted(0)), "3 - 2*q + q^(5/2) + O(q^4)"),
+    (lambda: repr(EXACT * QSeries.zero()), "QSeries([], trunc=None)"),
+    (lambda: repr(SERIES * QSeries.zero()), "QSeries([], trunc=None)"),
+    (lambda: repr(EXACT * QSeries.zero(5)), "QSeries([], trunc=5)"),
+    (lambda: repr(SERIES * QSeries.zero(5)), "QSeries([], trunc=5)"),
+    (lambda: repr(QSeries.zero() * QSeries.zero()), "QSeries([], trunc=None)"),
+    (lambda: repr(QSeries.zero(5) * QSeries.zero(5)), "QSeries([], trunc=10)"),
     (lambda: eta_factorize(QSeries([(0, 1), (1, -1)])),
      ValueError("depth is required to factorize an exact series")),
 ], ids=["combo*3", "combo*1/2", "combo/2", "combo/0", "series/2", "series/0",
-        "series-1", "1-series", "series*0", "factorize-exact-no-depth"])
+        "series-1", "1-series", "series*0", "series*1", "series/1",
+        "series-shifted-0", "exact*zero", "series*zero", "exact*zero5",
+        "series*zero5", "zero*zero", "zero5*zero5", "factorize-exact-no-depth"])
 def test_public_scalar_arithmetic(compute, expected):
     if isinstance(expected, Exception):
         with pytest.raises(type(expected)) as info:

@@ -25,8 +25,8 @@ from etaprover.qseries import (_POWERS, _euler_power, _euler_sweep, _jacobi_cube
                                _pentagonal)
 from etaprover.up import _up_expansion
 
-from oracles import (eta_quotient_brute, euler_brute, euler_sweep_scalar, pdiv,
-                     pmul, ppow)
+from oracles import (eta_quotient_brute, euler_brute, euler_sweep_scalar,
+                     miller_pow_inverse_branch, pdiv, pmul, ppow)
 
 F = Fraction
 
@@ -432,6 +432,45 @@ def test_miller_pow_matches_schoolbook_powers(n):
                 {k: c for k, c in want.items() if k < size}
             if not fractions:
                 assert all(type(c) is int for c in got)
+
+
+# 1 + sum terms on a grid of x with step 1, 2, 3 or 5, so that for a step
+# over 1 the inverse is zero off the grid; coefficients are ints, or ints
+# mixed with Fractions as a QSeries stores them.
+_UNIT_TERMS = st.builds(
+    lambda step, coeffs: [(step * j, c.numerator if c.denominator == 1 else c)
+                          for j, c in sorted(coeffs.items())],
+    st.sampled_from([1, 2, 3, 5]),
+    st.dictionaries(st.integers(1, 12),
+                    st.integers(-5, 5).map(F) | st.fractions(-5, 5, max_denominator=4),
+                    min_size=1, max_size=4)
+    .filter(lambda d: all(d.values())))
+
+
+@settings(max_examples=200)
+@given(_UNIT_TERMS, st.integers(0, 60))
+@example([(2, 1)], 60)  # 1/(1 + x^2): zero at every odd place
+@example([(1, 1), (2, 1)], 60)  # 1/(1 + x + x^2): zero at 2, 5, 8, ...
+@example([(1, F(1, 2)), (3, -2)], 60)
+def test_miller_inverse_matches_the_earlier_branch(terms, size):
+    got = qseries._miller_pow(terms, -1, size)
+    assert got == miller_pow_inverse_branch(terms, -1, size)
+    if all(type(c) is int for _, c in terms):
+        assert all(type(c) is int for c in got)
+
+
+def test_dense_lists_stop_at_the_size_limit():
+    limit = qseries._MAX_SIZE
+    message = f"past the limit of {limit}$"
+    with pytest.raises(ValueError, match=message):
+        qseries._unit_list(limit + 1)
+    a = qseries._unit_list(limit)
+    assert len(a) == limit and a[0] == 1 and not any(a[1:])
+    for build in (lambda size: qseries._product_list(((1, 1),), size),
+                  lambda size: qseries._miller_pow([(1, 1)], -1, size),
+                  lambda size: eta_factorize(QSeries.one(), size)):
+        with pytest.raises(ValueError, match=message):
+            build(limit + 1)
 
 
 def test_returned_lists_are_not_the_stored_ones():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .arith import check_positive, is_square, prime_factors
 from .errors import NotAFormError
@@ -53,18 +53,18 @@ def modular_function_check(ep: EtaProduct, level: int) -> ModularityVerdict:
       2. sum of t*r is divisible by 24;
       3. the product of t^|r| is a perfect square (tested on the t with r
          odd, since t^|r| is a square times t^(|r| mod 2));
-      4. every multiplier t divides the level (and every r is nonzero,
-         which the canonical form guarantees);
-      5. sum of (level/t)*r is divisible by 24.
+      4. every multiplier t divides the level;
+      5. sum of (level/t)*r is divisible by 24: with m the lcm of the t it
+         is S/m for S = sum of level*(m/t)*r, so 24*m divides S.
     """
     check_positive(level=level)
     fs = ep.factors
-    c1 = sum(r for _, r in fs) == 0
-    c2 = sum(t * r for t, r in fs) % 24 == 0
+    m = lcm(*(t for t, _ in fs))
+    c1 = ep.exponent_sum == 0
+    c2 = ep.degree24 % 24 == 0
     c3 = is_square(prod([t for t, r in fs if r & 1]))
-    c4 = all(r != 0 and level % t == 0 for t, r in fs)
-    s5 = sum((Fraction(level, t) * r for t, r in fs), Fraction(0))
-    c5 = s5.denominator == 1 and s5.numerator % 24 == 0
+    c4 = all(level % t == 0 for t, _ in fs)
+    c5 = sum(level * (m // t) * r for t, r in fs) % (24 * m) == 0
     return ModularityVerdict((c1, c2, c3, c4, c5))
 
 
@@ -96,6 +96,9 @@ def _fundamental_discriminant(n: int) -> int:
     return kernel if kernel % 4 == 1 else 4 * kernel
 
 
+_MAX_CHARACTER_BITS = 2 ** 26  # size of the raw character: 8 MiB
+
+
 def modular_form_check(ep: EtaProduct, level: int) -> FormVerdict:
     """Standard eta-quotient criterion for a form with character on Gamma0(level).
 
@@ -104,7 +107,9 @@ def modular_form_check(ep: EtaProduct, level: int) -> FormVerdict:
     :func:`modular_function_check` reports them), and that the weight (half
     the exponent sum) is nonnegative.  Raises :class:`NotAFormError`
     otherwise.  For half-integral weight the verdict is flagged and the
-    character is computed from the multiplier product alone.
+    character is computed from the multiplier product alone.  A raw
+    character past ``_MAX_CHARACTER_BITS`` raises ValueError before it is
+    computed.
     """
     _, c2, _, c4, c5 = modular_function_check(ep, level).conditions
     fs = ep.factors
@@ -121,6 +126,11 @@ def modular_form_check(ep: EtaProduct, level: int) -> FormVerdict:
         problems.append(f"weight {Fraction(k2, 2)} is negative")
     if problems:
         raise NotAFormError("; ".join(problems))
+    # prod t^|r| has more bits than this lower bound on its size
+    bits = sum(abs(r) * (t.bit_length() - 1) for t, r in fs)
+    if bits > _MAX_CHARACTER_BITS:
+        raise ValueError(f"the raw character has over {bits} bits, past the "
+                         f"limit of {_MAX_CHARACTER_BITS}")
     half_integral = k2 % 2 != 0
     sign = 1 if half_integral or (k2 // 2) % 2 == 0 else -1
     # the discriminant reads only the parity of each |r|, as condition 3 does

@@ -50,6 +50,8 @@ UP_ROW = ("tests/test_up.py::"
 GOLDEN = "tests/test_golden.py::test_certificate_bytes"
 ORDERS = "tests/test_golden.py::test_orders_stdout_bytes"
 WRITERS = "tests/test_writers.py::test_order_table_with_unshared_cells"
+NEWMAN = ("tests/test_modularity.py::"
+          "test_conditions_equal_the_fraction_reference")
 
 MUTANTS = [
     # The list builder and its seed choice.
@@ -161,15 +163,22 @@ MUTANTS = [
      "text = {k: fmt(v) for k, v in dict(zip(ids, values)).items()}",
      "text = dict.fromkeys(ids, fmt(values[0]))",
      [ORDERS + "[orders_pq_level2520.txt]", WRITERS]),
-    # The cache of cusp sets.
+    # The cache of cusp sets, and the limit on their number.
     ("hand out the cached cusps without copying", "cusps.py",
      "return list(_cusps(level))", "return _cusps(level)",
      ["tests/test_cusps.py::test_cusp_set_is_cached_per_level_as_a_fresh_list"]),
+    ("accept one cusp class past the limit", "cusps.py",
+     "if count > _MAX_CUSPS:", "if count > _MAX_CUSPS + 1:",
+     ["tests/test_cusps.py::test_cusp_classes_are_counted_before_any_is_built"]),
     # The refutation probe.
     ("probe a ninth of the depth", "prover.py",
      "depth // _PROBE_SHARE)", "depth // (_PROBE_SHARE + 1))",
      ["tests/test_prover.py::test_probe_leaves_certificates_byte_identical"]),
-    # Newman's condition 3 and the form character, by exponent parity.
+    # Newman's conditions in integers, and the form character.
+    ("take condition 5 mod 24 only", "modularity.py",
+     "% (24 * m) == 0", "% 24 == 0", [NEWMAN]),
+    ("read condition 2 from the exponent sum", "modularity.py",
+     "c2 = ep.degree24 % 24 == 0", "c2 = ep.exponent_sum % 24 == 0", [NEWMAN]),
     ("test squareness on every t", "modularity.py",
      "c3 = is_square(prod([t for t, r in fs if r & 1]))",
      "c3 = is_square(prod([t for t, r in fs]))",
@@ -177,6 +186,9 @@ MUTANTS = [
     ("read the character from every t", "modularity.py",
      "odd = prod([t for t, r in fs if r & 1])", "odd = prod([t for t, r in fs])",
      ["tests/test_modularity.py::test_form_character_matches_the_full_product"]),
+    ("accept a raw character one bit past the limit", "modularity.py",
+     "if bits > _MAX_CHARACTER_BITS:", "if bits > _MAX_CHARACTER_BITS + 1:",
+     ["tests/test_modularity.py::test_raw_character_stops_at_the_bit_limit"]),
     # The tokenizer, which leaves every error to the parser.
     ("raise in the tokenizer at a bad character", "parser.py",
      '                kind = ch if ch in _PUNCT else "bad"\n',

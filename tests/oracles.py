@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, gcd, prod
 from operator import mul
 
 from etaprover import Cusp, EtaProduct, QSeries, arith, modular_function_check
@@ -181,6 +181,21 @@ def newman_square_brute(factors) -> bool:
     for t, r in factors:
         n *= t ** abs(r)
     return arith.is_square(n)
+
+
+def newman_conditions_reference(ep: EtaProduct, level: int) -> tuple:
+    """The five flags of ``modular_function_check`` as it computed them
+    before it tested them in integers: each sum restated from the factors,
+    condition 4 testing r != 0 as well, and condition 5 summed in Fractions."""
+    arith.check_positive(level=level)
+    fs = ep.factors
+    c1 = sum(r for _, r in fs) == 0
+    c2 = sum(t * r for t, r in fs) % 24 == 0
+    c3 = arith.is_square(prod([t for t, r in fs if r & 1]))
+    c4 = all(r != 0 and level % t == 0 for t, r in fs)
+    s5 = sum((Fraction(level, t) * r for t, r in fs), Fraction(0))
+    c5 = s5.denominator == 1 and s5.numerator % 24 == 0
+    return (c1, c2, c3, c4, c5)
 
 
 # -- random generators ----------------------------------------------------------

@@ -16,6 +16,7 @@ from etaprover import (
     gamma0_cusp_orders,
 )
 
+from etaprover import cusps
 from etaprover.arith import divisors as fast_divisors
 from etaprover.cusps import _cusps
 
@@ -111,6 +112,23 @@ def test_cusp_count_oracle_small_levels():
         expected = sum(totient(gcd(d, n // d))
                        for d in divisors(n))
         assert len(cusp_set(n)) == expected
+
+
+def test_cusp_classes_are_counted_before_any_is_built(monkeypatch):
+    # the count is exact: a limit of that many classes passes, one less raises
+    levels = list(range(1, 401)) + list(BOUND_LEVELS)
+    for n, count in [(n, len(cusp_set(n))) for n in levels]:
+        monkeypatch.setattr(cusps, "_MAX_CUSPS", count)
+        _cusps.cache_clear()
+        assert len(cusp_set(n)) == count
+        monkeypatch.setattr(cusps, "_MAX_CUSPS", count - 1)
+        _cusps.cache_clear()
+        with pytest.raises(ValueError, match=f"has {count} cusp classes"):
+            cusp_set(n)
+    monkeypatch.undo()
+    # 9699690^2 has 34836480 classes: refused before any is built
+    with pytest.raises(ValueError, match="past the limit of 2097152$"):
+        cusp_set(9699690 ** 2)
 
 
 def test_cusp_representatives_are_inequivalent_data():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etaprover import (
     EtaProduct,
@@ -14,7 +15,8 @@ from etaprover import (
 from etaprover import arith, modularity
 from etaprover.errors import NotAFormError
 
-from oracles import newman_square_brute, random_modular_product
+from oracles import (newman_conditions_reference, newman_square_brute,
+                     random_modular_product)
 
 F = Fraction
 
@@ -108,6 +110,35 @@ def test_condition_3_matches_the_full_product():
             newman_square_brute(ep.factors)
 
 
+@st.composite
+def products_at_levels(draw):
+    """A level (often 1) and a product whose multipliers need not divide it.
+    Exponents reach 10^9; some are multiples of 24 or of 24*t, and the last
+    factor may cancel the exponent sum, so every flag is met both ways."""
+    level = draw(st.one_of(st.just(1), st.sampled_from([2, 6, 10, 24, 40, 240]),
+                           st.integers(1, 10**6)))
+    divs = arith.divisors(level)
+    factors = []
+    for _ in range(draw(st.integers(0, 5))):  # 0: the empty product
+        t = draw(st.one_of(st.sampled_from(divs), st.integers(1, 500)))
+        unit = draw(st.sampled_from([1, 24, 24 * t]))
+        bound = 10**9 // unit
+        k = draw(st.one_of(st.integers(-6, 6), st.integers(-bound, bound)))
+        factors.append((t, unit * k))
+    if factors and draw(st.booleans()):
+        factors.append((draw(st.sampled_from(divs)),
+                        -sum(r for _, r in factors)))
+    return EtaProduct(factors), level
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(products_at_levels())
+def test_conditions_equal_the_fraction_reference(case):
+    ep, level = case
+    assert modular_function_check(ep, level).conditions == \
+        newman_conditions_reference(ep, level)
+
+
 @pytest.mark.parametrize("flat, level, square, weight, disc", [
     ([2, 24 * 10**6, 1, -24 * 10**6], 2, True, 0, 1),
     ([1, 23999998, 2, -23999997, 4, 3, 8, -2], 8, False, 1, -8),
@@ -197,6 +228,18 @@ def test_form_check_half_integral_is_flagged():
     assert v.weight == F(1, 2)
     assert v.half_integral
     assert v.character_raw == 24
+
+
+def test_raw_character_stops_at_the_bit_limit(monkeypatch):
+    # the bound on prod t^|r| is 4*0 + 4*1 + 3*2 + 2*3 + 1*4 = 20 bits; the
+    # product is computed only when that is within the limit
+    ep = EtaProduct.from_flat([1, 4, 2, 4, 4, -3, 10, 2, 20, -1])
+    monkeypatch.setattr(modularity, "_MAX_CHARACTER_BITS", 20)
+    assert modular_form_check(ep, 40).character_raw == -2048000
+    monkeypatch.setattr(modularity, "_MAX_CHARACTER_BITS", 19)
+    with pytest.raises(ValueError, match="has over 20 bits, past the limit "
+                                         "of 19$"):
+        modular_form_check(ep, 40)
 
 
 # -- Kronecker symbol ---------------------------------------------------------------

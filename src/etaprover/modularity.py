@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm, log2, prod
 
 from .arith import check_positive, is_square, prime_factors
 from .errors import NotAFormError
@@ -126,11 +126,11 @@ def modular_form_check(ep: EtaProduct, level: int) -> FormVerdict:
         problems.append(f"weight {Fraction(k2, 2)} is negative")
     if problems:
         raise NotAFormError("; ".join(problems))
-    # prod t^|r| has more bits than this lower bound on its size
-    bits = sum(abs(r) * (t.bit_length() - 1) for t, r in fs)
+    # log2 of prod t^|r|, the size of the raw character in bits
+    bits = sum(abs(r) * log2(t) for t, r in fs)
     if bits > _MAX_CHARACTER_BITS:
-        raise ValueError(f"the raw character has over {bits} bits, past the "
-                         f"limit of {_MAX_CHARACTER_BITS}")
+        raise ValueError(f"the raw character has about {bits:.0f} bits, past "
+                         f"the limit of {_MAX_CHARACTER_BITS}")
     half_integral = k2 % 2 != 0
     sign = 1 if half_integral or (k2 // 2) % 2 == 0 else -1
     # the discriminant reads only the parity of each |r|, as condition 3 does

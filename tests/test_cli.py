@@ -376,11 +376,13 @@ def test_usage_error_exit_code(capsys):
     ["expand", "(" * 5000 + "1" + ")" * 5000],
     ["prove", "{nested}", "--level", "6", "--yes"],
     ["formcheck", "[2,240000000000,1,-240000000000]", "2"],
+    ["formcheck", "[3,67108848,1,-67108848]", "3"],
     ["cusps", str(9699690 ** 2)],
     ["prove", str(RAMANUJAN), "--level", str(9699690 ** 2), "--yes"],
 ], ids=["non-utf8-file", "5000-digit-literal", "superscript-digit",
         "5000-parentheses", "5000-parentheses-in-let",
-        "raw-character-of-2.4e11-bits", "34836480-cusp-classes",
+        "raw-character-of-2.4e11-bits", "raw-character-of-3^67108848",
+        "34836480-cusp-classes",
         "prove-at-34836480-cusp-classes"])
 def test_rejected_input_is_one_error_line_and_exit_3(argv, tmp_path, capsys):
     latin1 = tmp_path / "latin1.eta"

@@ -231,15 +231,19 @@ def test_form_check_half_integral_is_flagged():
 
 
 def test_raw_character_stops_at_the_bit_limit(monkeypatch):
-    # the bound on prod t^|r| is 4*0 + 4*1 + 3*2 + 2*3 + 1*4 = 20 bits; the
+    # prod t^|r| = 2^4 * 4^3 * 10^2 * 20 = 2048000 has log2 20.97; the
     # product is computed only when that is within the limit
     ep = EtaProduct.from_flat([1, 4, 2, 4, 4, -3, 10, 2, 20, -1])
-    monkeypatch.setattr(modularity, "_MAX_CHARACTER_BITS", 20)
+    monkeypatch.setattr(modularity, "_MAX_CHARACTER_BITS", 21)
     assert modular_form_check(ep, 40).character_raw == -2048000
-    monkeypatch.setattr(modularity, "_MAX_CHARACTER_BITS", 19)
-    with pytest.raises(ValueError, match="has over 20 bits, past the limit "
-                                         "of 19$"):
+    monkeypatch.setattr(modularity, "_MAX_CHARACTER_BITS", 20)
+    with pytest.raises(ValueError, match="has about 21 bits, past the limit "
+                                         "of 20$"):
         modular_form_check(ep, 40)
+    # a factor 3 counts log2(3) bits, not the 1 of 3.bit_length() - 1
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="has about 106365008 bits"):
+        modular_form_check(EtaProduct.from_flat([3, 67108848, 1, -67108848]), 3)
 
 
 # -- Kronecker symbol ---------------------------------------------------------------

@@ -10,7 +10,7 @@ combination of eta-products plus an explicit rational constant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, isqrt, lcm
+from math import ceil, isqrt
 from operator import mul
 from typing import Iterable, Optional, Union
 
@@ -272,18 +272,11 @@ class EtaCombo:
         return out
 
     def expand(self, depth) -> QSeries:
-        """q-expansion: constant + sum of coefficient * product expansions,
-        added in integers over one common denominator."""
-        c = self._constant
-        den = lcm(c.denominator, *(a.denominator for a, _ in self._terms))
-        acc = {0: c.numerator * (den // c.denominator)}
+        """q-expansion: constant + sum of coefficient * product expansions."""
+        acc = QSeries.constant(self._constant).truncated(depth)
         for a, f in self._terms:
-            k = a.numerator * (den // a.denominator)
-            s = f.expand(depth)
-            for e, v in zip(s._e, s._c):
-                acc[e] = acc.get(e, 0) + k * v
-        return QSeries._from24({e: v // den if v % den == 0 else Fraction(v, den)
-                                for e, v in acc.items()}, _lattice24(depth))
+            acc = acc + f.expand(depth) * a
+        return acc
 
     def __str__(self) -> str:
         parts = []

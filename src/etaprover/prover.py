@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import floor, gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 from . import __version__
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .etaproducts import EtaCombo, EtaProduct
 from .modularity import modular_function_check
-from .qseries import QSeries
+from .qseries import _product_list
 
 __all__ = [
     "Verdict",
@@ -263,8 +263,32 @@ def _not_applicable(level: int, reason: str, *, up_p=None) -> ProofReport:
         required_depth=0, checked_depth=-1, up_p=up_p, reason=reason)
 
 
+def _parts(combo: EtaCombo, depth: int) -> list:
+    """``combo`` below q^depth as parts, each term's s = sum(t*r)/24 whole."""
+    parts = [(combo.constant, 0, [1])] if combo.constant else []
+    for a, f in combo.terms:
+        s = f.degree24 // 24
+        parts.append((a, s, _product_list(f.factors, depth - s)))
+    return parts
+
+
+def _leading_term(parts, depth: int) -> Optional[tuple[Fraction, Fraction]]:
+    """The first nonzero (exponent, coefficient) below q^depth of the sum of
+    k * q^s * a over ``parts`` (rational k, integer s, int list a), or None."""
+    den = lcm(*[k.denominator for k, _, _ in parts])
+    low = min([s for _, s, _ in parts], default=depth)
+    acc = [0] * (depth - low)
+    for k, s, a in parts:
+        i, w = s - low, k.numerator * (den // k.denominator)
+        acc[i:i + len(a)] = map(add, acc[i:i + len(a)], [w * v for v in a])
+    for n, v in enumerate(acc, low):
+        if v:
+            return Fraction(n), Fraction(v, den)
+    return None
+
+
 def _valence_proof(combo: EtaCombo, level: int,
-                   vanishing: Callable[[int], QSeries], *, margin: int,
+                   vanishing: Callable[[int], list], *, margin: int,
                    verify: bool, constants_warning: bool,
                    up=None) -> ProofReport:
     """The proof both provers share, over the terms of ``combo``.
@@ -272,16 +296,15 @@ def _valence_proof(combo: EtaCombo, level: int,
     Newman-checks the terms, builds the order table and B, with the
     Gordon-Hughes row of U_p ep when ``up = (ep, p)`` (see
     :func:`_order_table`), checks that each term's orders total zero and,
-    when ``verify`` is set, checks that ``vanishing(depth)``, the
-    series that must be 0 below q^depth, vanishes through q^floor(-B).  A
-    nonzero coefficient past that point but below q^depth contradicts the
+    when ``verify`` is set, checks that ``vanishing(depth)``, the parts of
+    the series that must be 0 below q^depth, vanishes through q^floor(-B).
+    A nonzero coefficient past that point but below q^depth contradicts the
     valence bound and is raised as an internal error.
 
-    A false identity thus fails through q^floor(-B), so the series is first
-    expanded only to there, capped at 1/8 of the depth: a nonzero term there
+    A false identity thus fails through q^floor(-B), so the parts are first
+    built only to there, capped at 1/8 of the depth: a nonzero term there
     leads the full series too.  PROVED still checks all of it.  Sweeps cost
-    about L^1.5, so this adds at most about 4% to a true identity.
-    """
+    about L^1.5, so this adds at most about 4% to a true identity."""
     up_p = up[1] if up else None
     reason = _modularity_failures(combo.terms, level)
     if reason:
@@ -298,16 +321,15 @@ def _valence_proof(combo: EtaCombo, level: int,
     depth = max(required, 0) + margin
     report = replace(report, verdict=Verdict.PROVED, checked_depth=depth - 1)
     probe = min(max(required, 0) + 1, depth // _PROBE_SHARE)
-    lead = vanishing(probe).leading_term() if probe >= 1 else None
-    lead = lead or vanishing(depth).leading_term()
+    lead = _leading_term(vanishing(probe), probe) if probe >= 1 else None
+    lead = lead or _leading_term(vanishing(depth), depth)
     if lead is None:
         return report
-    if lead.exponent > required:
+    if lead[0] > required:
         raise InternalInconsistencyError(
             f"expansion vanishes through q^{required} as the valence bound "
-            f"requires, yet has a nonzero coefficient at q^{lead.exponent}")
-    return replace(report, verdict=Verdict.REFUTED,
-                   failure=(lead.exponent, Fraction(lead.coefficient)))
+            f"requires, yet has a nonzero coefficient at q^{lead[0]}")
+    return replace(report, verdict=Verdict.REFUTED, failure=lead)
 
 
 def prove_identity(combo: EtaCombo, level: int, margin: int = 10,
@@ -342,7 +364,7 @@ def prove_identity(combo: EtaCombo, level: int, margin: int = 10,
             constants_warning=constants_warning,
             failure=(Fraction(0), Fraction(1)))
     return _valence_proof(
-        normalized, level, lambda depth: normalized.expand(Fraction(depth)),
+        normalized, level, lambda depth: _parts(normalized, depth),
         margin=margin, verify=verify, constants_warning=constants_warning)
 
 

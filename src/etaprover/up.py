@@ -20,7 +20,7 @@ from .cusps import (  # noqa: F401
 from .errors import PreconditionError
 from .etaproducts import EtaCombo, EtaProduct
 from .modularity import modular_function_check
-from .prover import ProofReport, _not_applicable, _valence_proof
+from .prover import ProofReport, _not_applicable, _parts, _valence_proof
 from .qseries import QSeries, _euler_sweep, _product_list
 
 __all__ = ["up_series", "up_order_lower_bound", "prove_up_identity"]
@@ -69,12 +69,12 @@ def up_order_lower_bound(ep: EtaProduct, cusp: Cusp, level: int,
                     24 * p * m)
 
 
-def _up_expansion(ep: EtaProduct, p: int, depth: int) -> QSeries:
-    """up_series(ep.expand(p * depth), p), for ep with integer s = sum(t*r)/24.
+def _up_expansion(ep: EtaProduct, p: int, depth: int) -> tuple[int, list]:
+    """(n0, a): up_series(ep.expand(p * depth), p) from q^n0, n0 = ceil(s/p).
 
-    U_p(q^s H(q) G(q^p)) = G(q) U_p(q^s H(q)) for H the factors with p not
-    dividing t: H's list, to p times the depth, is sliced at q^(p*n - s) for
-    n >= n0, and G's factors (t/p, r) sweep the slice."""
+    U_p(q^s H(q) G(q^p)) = G(q) U_p(q^s H(q)), s = sum(t*r)/24 integral, for
+    H the factors with p not dividing t: H's list, to p times the depth, is
+    sliced at q^(p*n - s) for n >= n0, and G's factors (t/p, r) sweep it."""
     s = ep.degree24 // 24
     n0 = -(-s // p)
     h = [(t, r) for t, r in ep.factors if t % p]
@@ -82,7 +82,7 @@ def _up_expansion(ep: EtaProduct, p: int, depth: int) -> QSeries:
     a = _product_list(h, p * (depth - 1) - s + 1)[p * n0 - s::p]
     for t, r in g:
         _euler_sweep(a, t, r)
-    return QSeries._from_list(a, 24 * n0, 24 * depth)
+    return n0, a
 
 
 def prove_up_identity(ep: EtaProduct, p: int, rhs: EtaCombo, level: int,
@@ -107,8 +107,8 @@ def prove_up_identity(ep: EtaProduct, p: int, rhs: EtaCombo, level: int,
             f"{ep} fails condition(s) {conds} on Gamma0({p * level})",
             up_p=p)
 
-    def vanishing(depth: int) -> QSeries:
-        return _up_expansion(ep, p, depth) - rhs.expand(Fraction(depth))
+    def vanishing(depth: int) -> list:  # U_p side minus rhs, as parts
+        return [(1, *_up_expansion(ep, p, depth))] + _parts(-rhs, depth)
 
     return _valence_proof(
         rhs, level, vanishing, margin=margin, verify=verify,

@@ -52,6 +52,9 @@ ORDERS = "tests/test_golden.py::test_orders_stdout_bytes"
 WRITERS = "tests/test_writers.py::test_order_table_with_unshared_cells"
 NEWMAN = ("tests/test_modularity.py::"
           "test_conditions_equal_the_fraction_reference")
+VANISHING_PERTURBED = ("tests/test_prover.py::"
+                       "test_perturbed_identities_fail_where_the_qseries_route_does")
+VANISHING = "tests/test_prover.py::test_leading_term_equals_the_qseries_route"
 
 MUTANTS = [
     # The list builder and its seed choice.
@@ -170,6 +173,19 @@ MUTANTS = [
     ("accept one cusp class past the limit", "cusps.py",
      "if count > _MAX_CUSPS:", "if count > _MAX_CUSPS + 1:",
      ["tests/test_cusps.py::test_cusp_classes_are_counted_before_any_is_built"]),
+    # The integer vanishing check both provers share (prover._leading_term).
+    ("leave the rhs parts unnegated", "up.py",
+     "+ _parts(-rhs, depth)", "+ _parts(rhs, depth)",
+     [VANISHING_PERTURBED, GOLDEN + "[prove_up_u5_level20_refuted.json]"]),
+    ("put a part one place late", "prover.py",
+     "i, w = s - low, k.numerator", "i, w = s - low + 1, k.numerator",
+     [VANISHING_PERTURBED, VANISHING]),
+    ("drop the common denominator", "prover.py",
+     "den = lcm(*[k.denominator for k, _, _ in parts])", "den = 1",
+     [VANISHING_PERTURBED, VANISHING]),
+    ("start the sum at q^0, not at the lowest offset", "prover.py",
+     "low = min([s for _, s, _ in parts], default=depth)", "low = 0",
+     [VANISHING_PERTURBED, VANISHING]),
     # The refutation probe.
     ("probe a ninth of the depth", "prover.py",
      "depth // _PROBE_SHARE)", "depth // (_PROBE_SHARE + 1))",

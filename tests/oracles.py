@@ -372,6 +372,22 @@ def miller_pow_inverse_branch(terms: list, n: int, size: int) -> list:
     return v
 
 
+def leading_term_qseries(combo, depth: int, up=None):
+    """The provers' earlier vanishing check, kept as a reference: the
+    ``QSeries`` of ``combo`` below q^depth, or with ``up = (ep, p)`` the
+    series U_p(ep) minus it, and its leading term as (exponent, coefficient),
+    or None.  The provers now sum dense int lists in
+    ``prover._leading_term``."""
+    from etaprover.up import up_series
+
+    series = combo.expand(Fraction(depth))
+    if up:
+        ep, p = up
+        series = up_series(ep.expand(Fraction(p * depth)), p) - series
+    lead = series.leading_term()
+    return None if lead is None else (lead.exponent, Fraction(lead.coefficient))
+
+
 # -- reference writers ------------------------------------------------------------
 
 

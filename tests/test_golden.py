@@ -26,6 +26,12 @@ def _refuted_copy(tmp_path):
     return bad
 
 
+def _u5_refuted_copy(tmp_path):
+    bad = tmp_path / "u5_refuted.eta"
+    bad.write_text(U5FILE.read_text().replace("5*[10,", "4*[10,"))
+    return bad
+
+
 # golden file -> (exit code, identity file, argv after the file)
 CERTIFICATES = {
     "prove_pq_level6.json":
@@ -38,6 +44,8 @@ CERTIFICATES = {
         (2, lambda tmp: RAMANUJAN, ["prove", "--level", "5", "--yes"]),
     "prove_up_u5_level20.json":
         (0, lambda tmp: U5FILE, ["prove-up", "--level", "20", "--yes"]),
+    "prove_up_u5_level20_refuted.json":
+        (1, _u5_refuted_copy, ["prove-up", "--level", "20", "--yes"]),
     "prove_up_u5_bound_only.json":
         (0, lambda tmp: U5FILE, ["prove-up", "--level", "20"]),
     "prove_pq_level2520_bound_only.json":

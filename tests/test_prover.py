@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from etaprover import (
     Cusp,
@@ -27,9 +28,13 @@ from etaprover.errors import (
     InternalInconsistencyError,
     MisalignedRowsError,
 )
-from etaprover.prover import _order_table, _valence_proof
+from etaprover.cli import main
+from etaprover.prover import (
+    _leading_term, _order_table, _parts, _valence_proof)
+from etaprover.up import _up_expansion
 
 from oracles import (
+    leading_term_qseries,
     random_eta_product,
     random_modular_product,
     sampled_modular_product,
@@ -341,6 +346,7 @@ def test_soundness_gate_random():
 # -- the refutation probe through q^required -------------------------------------
 
 RAMANUJAN = Path(__file__).resolve().parent.parent / "identities" / "ramanujan_pq.eta"
+U5FILE = RAMANUJAN.with_name("u5_level20.eta")
 PQ_TEXT = RAMANUJAN.read_text()
 
 
@@ -375,10 +381,10 @@ def _certificate(command, args, margin):
 @pytest.mark.parametrize("command, args, margin, where", PROBE_CASES)
 def test_probe_leaves_certificates_byte_identical(command, args, margin, where,
                                                   monkeypatch):
-    depths = []
-    expand = EtaCombo.expand
-    monkeypatch.setattr(EtaCombo, "expand",
-                        lambda self, depth: depths.append(depth) or expand(self, depth))
+    depths = []  # the depth of every vanishing check the prover runs
+    lead = prover_module._leading_term
+    monkeypatch.setattr(prover_module, "_leading_term", lambda parts, depth:
+                        depths.append(depth) or lead(parts, depth))
     with_probe = _certificate(command, args, margin)
     probed = list(depths)
     monkeypatch.setattr(prover_module, "_PROBE_SHARE", 10**9)  # probe < 1: off
@@ -388,8 +394,8 @@ def test_probe_leaves_certificates_byte_identical(command, args, margin, where,
     report = json.loads(with_probe)
     assert report["verdict"] == ("proved" if where == "proved" else "refuted")
     if where == "inside the probe":  # only the short series was expanded
-        assert probed == [Fraction(min(report["required_depth"] + 1,
-                                       (report["checked_depth"] + 1) // 8))]
+        assert probed == [min(report["required_depth"] + 1,
+                              (report["checked_depth"] + 1) // 8)]
     else:
         assert len(probed) == 2 and probed[1] == report["checked_depth"] + 1
 
@@ -411,9 +417,110 @@ def test_nonzero_past_required_still_raises(truncates):
     """A vanishing series whose first nonzero lies past q^required contradicts
     the valence bound, whether the probe or the full expansion meets it."""
     combo = normalize_identity(_pq(9))
-    def vanishing(depth):
-        s = QSeries.monomial(1, 5)
-        return s.truncated(depth) if truncates else s
+    def vanishing(depth):  # the parts of q^5, cut at the depth or not
+        return [(F(1), 5, [1][:max(depth - 5, 0)] if truncates else [1])]
     with pytest.raises(InternalInconsistencyError, match="q\\^5"):
         _valence_proof(combo, 6, vanishing, margin=40, verify=True,
                        constants_warning=False)
+
+
+# -- one integer vanishing check for both provers ---------------------------------
+
+U5_G = EtaProduct.from_flat([100, -3, 50, 5, 25, -2, 10, -8, 5, 4, 4, 3, 2, 3, 1, -2])
+U5_RHS = EtaCombo(0, [(5, EtaProduct.from_flat([10, 8, 5, -4, 2, -8, 1, 4])),
+                      (2, EtaProduct.from_flat([20, -3, 10, 5, 5, -2, 4, -1, 2,
+                                                -1, 1, 2]))])
+# name -> (identity: combo, or rhs of U_p ep, (ep, p) or None, level)
+TRUE_IDENTITIES = {
+    "pq": (entry31_combo(), None, 6),
+    "u5": (U5_RHS, (U5_G, 5), 20),
+    "u7": (_u7(7, 49)[2], _u7(7, 49)[:2], 7),
+}
+
+
+@pytest.mark.parametrize("name, index, delta", [
+    ("pq", 0, F(1)), ("pq", 1, F(-1, 3)), ("pq", 2, F(5, 7)), ("pq", 3, F(2)),
+    ("u5", 0, F(-1)), ("u5", 1, F(1, 2)), ("u5", None, F(-3)),  # a constant
+    ("u7", 0, F(1)), ("u7", 1, F(-2, 7)), ("u7", None, F(7, 3)),
+])
+def test_perturbed_identities_fail_where_the_qseries_route_does(
+        name, index, delta):
+    combo, up, level = TRUE_IDENTITIES[name]
+    terms = list(combo.terms)
+    if index is None:
+        combo = combo + delta
+    else:
+        a, f = terms[index]
+        terms[index] = (a + delta, f)
+        combo = EtaCombo(combo.constant, terms)
+    if up:
+        report = prove_up_identity(*up, combo, level)
+    else:
+        report = prove_identity(combo, level)
+        combo = normalize_identity(combo)
+    assert report.verdict is Verdict.REFUTED
+    assert report.failure == leading_term_qseries(
+        combo, report.checked_depth + 1, up)
+
+
+def _whole(factors, shift) -> EtaProduct:
+    """``factors`` times the power of eta(tau) that puts the product's
+    leading exponent sum(t*r)/24 at the integer ``shift``."""
+    return EtaProduct(factors + [(1, 24 * shift - sum(t * r for t, r in factors))])
+
+
+factors_st = st.lists(st.tuples(st.integers(1, 8),
+                                st.integers(-4, 4).filter(bool)), max_size=2)
+fractions_st = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+terms_st = st.lists(st.tuples(fractions_st, factors_st, st.integers(-3, 8)),
+                    max_size=3)
+ups_st = st.none() | st.tuples(factors_st, st.integers(-4, 8),
+                               st.sampled_from([2, 3, 5, 7]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractions_st, terms_st, st.integers(-4, 30), ups_st)
+@example(F(0), [], 5, None)  # nothing: an empty sum
+@example(F(-2, 3), [], 3, None)  # a constant alone
+@example(F(1), [(F(1, 3), [], -2), (F(-5, 6), [(2, 1)], -1)], 10, None)
+@example(F(0), [(F(5, 2), [(2, 3)], 4), (F(1), [], 7)], 4, None)  # at, past
+@example(F(1), [(F(7, 4), [], -1)], -3, None)  # depth below every offset
+@example(F(0), [(F(1, 2), [(3, 2)], -2)], 9, ([(2, 1)], -3, 5))  # U_p side
+@example(F(2), [], 0, ([], -1, 2))  # U_p at depth n0 = ceil(s/p): empty
+def test_leading_term_equals_the_qseries_route(constant, terms, depth, up):
+    combo = EtaCombo(constant, [(k, _whole(fs, s)) for k, fs, s in terms])
+    if up is None:
+        parts = _parts(combo, depth)
+    else:
+        up = (_whole(*up[:2]), up[2])
+        parts = [(1, *_up_expansion(*up, depth))] + _parts(-combo, depth)
+    assert _leading_term(parts, depth) == leading_term_qseries(combo, depth, up)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["prove", str(RAMANUJAN), "--level", "6", "--yes"], 0),
+    (["prove", "pq_refuted.eta", "--level", "6", "--yes"], 1),
+    (["prove-up", str(U5FILE), "--level", "20", "--yes"], 0),
+    (["prove-up", "u5_refuted.eta", "--level", "20", "--yes"], 1),
+])
+def test_proofs_build_no_qseries(argv, code, monkeypatch, tmp_path, capsys):
+    (tmp_path / "pq_refuted.eta").write_text(
+        PQ_TEXT.replace("+ 9/", "+ 10/"))
+    (tmp_path / "u5_refuted.eta").write_text(
+        U5FILE.read_text().replace("5*[10,", "4*[10,"))
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def spy(owner, name, wrap=lambda f: f):
+        f = getattr(owner, name)
+        monkeypatch.setattr(owner, name, wrap(
+            lambda *args: calls.append(name) or f(*args)))
+
+    spy(EtaCombo, "expand")
+    spy(EtaProduct, "expand")
+    spy(QSeries, "__add__")
+    spy(QSeries, "__sub__")
+    spy(QSeries, "_raw", staticmethod)
+    assert main(argv) == code
+    capsys.readouterr()
+    assert calls == []

@@ -307,6 +307,12 @@ def _up_reference(ep: EtaProduct, p: int, depth: int) -> QSeries:
     return up_series(ep.expand(F(p * depth)), p)
 
 
+def _up_series(ep: EtaProduct, p: int, depth: int) -> QSeries:
+    """``_up_expansion``'s list as the series it stands for below q^depth."""
+    n0, a = _up_expansion(ep, p, depth)
+    return QSeries._from_list(a, 24 * n0, 24 * depth)
+
+
 def _coprime_level(rng, p):
     return rng.choice([n for n in range(3, 30) if n % p])
 
@@ -327,7 +333,7 @@ def _drawn_product(rng, p, kind):
        st.sampled_from(["mixed", "coprime", "divisible"]), st.integers(0, 40))
 def test_up_expansion_matches_definition(seed, p, kind, depth):
     ep = _drawn_product(random.Random(seed), p, kind)
-    assert _up_expansion(ep, p, depth) == _up_reference(ep, p, depth)
+    assert _up_series(ep, p, depth) == _up_reference(ep, p, depth)
 
 
 @pytest.mark.parametrize("flat, p", [
@@ -346,18 +352,19 @@ def test_up_expansion_by_sign_of_s(flat, p):
     ep = EtaProduct.from_flat(flat)
     s = ep.degree24 // 24
     for depth in range(0, 30):
-        got = _up_expansion(ep, p, depth)
-        assert got == _up_reference(ep, p, depth)
-        if depth <= -(-s // p):  # the sifted list is empty
-            assert got.is_zero() and got._t == 24 * depth
+        n0, a = _up_expansion(ep, p, depth)
+        assert n0 == -(-s // p)
+        assert _up_series(ep, p, depth) == _up_reference(ep, p, depth)
+        if depth <= n0:  # the sifted list is empty
+            assert a == []
 
 
 @pytest.mark.parametrize("flat, p, depth, want", [
-    (EP_g100.flat(), 5, 12, ["_product_list", "_raw"]),
-    ([4, 12, 2, -12], 2, 12, ["_product_list", "_raw"]),  # p does not divide s
+    (EP_g100.flat(), 5, 12, ["_product_list"]),
+    ([4, 12, 2, -12], 2, 12, ["_product_list"]),  # p does not divide s
 ])
 def test_up_expansion_slices_one_list(monkeypatch, flat, p, depth, want):
-    # one dense list, sliced and swept, becomes the one QSeries; no sift
+    # one dense list, sliced and swept, and no QSeries built; no sift
     import etaprover.etaproducts as etaproducts_module
     import etaprover.up as up_module
     ep = EtaProduct.from_flat(flat)
@@ -376,6 +383,6 @@ def test_up_expansion_slices_one_list(monkeypatch, flat, p, depth, want):
     spy(QSeries, "_shift")
     spy(QSeries, "_raw", staticmethod)
     spy(EtaProduct, "expand_no_prefactor")
-    got = _up_expansion(ep, p, depth)
+    n0, a = _up_expansion(ep, p, depth)
     assert calls == want
-    assert got == expected
+    assert QSeries._from_list(a, 24 * n0, 24 * depth) == expected

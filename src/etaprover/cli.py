@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from math import log10
 from typing import Optional
 
 from . import __version__
@@ -26,7 +27,8 @@ from .errors import (
     PreconditionError,
 )
 from .etaproducts import EtaProduct, eta_factorize
-from .modularity import modular_function_check, modular_form_check
+from .modularity import (
+    _character_bits, modular_function_check, modular_form_check)
 from .parser import UpIdentity, parse_expression, parse_program
 from .prover import (
     ProofReport,
@@ -181,13 +183,20 @@ def _cmd_check(args) -> int:
 
 def _cmd_formcheck(args) -> int:
     product = _single_product(args.expr, "formcheck")
+    # the raw character has floor(digits) + 1 decimal digits; refuse it
+    # before it is computed when Python cannot print it (a limit of 0: none)
+    digits = _character_bits(product) * log10(2)
+    limit = sys.get_int_max_str_digits()
+    if limit and digits >= limit:
+        raise ValueError(f"the raw character has about {digits:.0f} digits, "
+                         f"past Python's limit of {limit} for printing")
     try:
         verdict = modular_form_check(product, args.level)
     except NotAFormError as exc:
         print(f"not a form on Gamma0({args.level}): {exc}", file=sys.stderr)
         return 2
-    # every line is built before any is printed: the raw character can pass
-    # Python's int-to-str digit limit, and an error must leave stdout empty
+    # every line is built before any is printed: should str() still refuse
+    # the raw character, where a float log meets the limit, stdout stays empty
     lines = [f"level: {verdict.level}", f"weight: {verdict.weight}",
              f"character: kronecker({verdict.character_disc}, .)"
              f"   (raw {verdict.character_raw})"]

@@ -10,17 +10,19 @@ combination of eta-products plus an explicit rational constant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, isqrt
+from math import ceil
 from operator import mul
 from typing import Iterable, Optional, Union
 
 from .errors import NotAnEtaProductError
 from .qseries import (QSeries, _euler_sweep, _lattice24, _product_list,
-                      _sweep_count, _unit_list)
+                      _sweep_work, _unit_list)
 
 __all__ = ["EtaProduct", "EtaCombo", "eta_factorize"]
 
 Rat = Union[int, Fraction]
+
+_MAX_TERM_PAIRS = 2 ** 15  # products of terms in one multiply: about 0.3 s
 
 
 class EtaProduct:
@@ -106,8 +108,6 @@ class EtaProduct:
 
     def eta_string(self) -> str:
         """Human-readable quotient form like eta(5)^6/eta(1)^6."""
-        if not self._factors:
-            return "1"
         num = [f"eta({t})" + (f"^{r}" if r != 1 else "")
                for t, r in self._factors if r > 0]
         den = [f"eta({t})" + (f"^{-r}" if r != -1 else "")
@@ -208,21 +208,23 @@ class EtaCombo:
         return EtaCombo(-self._constant, [(-a, f) for a, f in self._terms])
 
     def __sub__(self, other) -> "EtaCombo":
-        if isinstance(other, (int, Fraction)):
-            other = EtaCombo(other)
-        if not isinstance(other, EtaCombo):
+        if not isinstance(other, (int, Fraction, EtaCombo)):
             return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other) -> "EtaCombo":
         return (-self) + other
 
     def __mul__(self, other) -> "EtaCombo":
         if isinstance(other, (int, Fraction)):
-            k = Fraction(other)
-            return EtaCombo(self._constant * k, [(a * k, f) for a, f in self._terms])
+            other = EtaCombo(other)
         if not isinstance(other, EtaCombo):
             return NotImplemented
+        pairs = len(self._terms) * len(other._terms)
+        if pairs > _MAX_TERM_PAIRS:
+            raise ValueError(f"multiplying out {len(self._terms)} by "
+                             f"{len(other._terms)} terms makes {pairs} "
+                             f"products, past the limit of {_MAX_TERM_PAIRS}")
         terms: list[tuple[Fraction, EtaProduct]] = []
         if other._constant:
             terms.extend((a * other._constant, f) for a, f in self._terms)
@@ -237,9 +239,7 @@ class EtaCombo:
 
     def __truediv__(self, other) -> "EtaCombo":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of a combo by zero")
-            return self * (Fraction(1, 1) / Fraction(other))
+            other = EtaCombo(other)
         if isinstance(other, EtaCombo):
             return self * other.inverted()
         return NotImplemented
@@ -357,7 +357,7 @@ def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
         c = c.numerator
         factors.append((n, -c))
         if b is None:
-            budget -= _sweep_count(c) * size * isqrt(2 * size // n)
+            budget -= _sweep_work(n, c, size)
             if budget >= 0:
                 _euler_sweep(a, n, c)
                 continue

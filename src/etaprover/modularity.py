@@ -99,6 +99,11 @@ def _fundamental_discriminant(n: int) -> int:
 _MAX_CHARACTER_BITS = 2 ** 26  # size of the raw character: 8 MiB
 
 
+def _character_bits(ep: EtaProduct) -> float:
+    """log2 of prod t^|r|, the size of the raw character in bits."""
+    return sum(abs(r) * log2(t) for t, r in ep.factors)
+
+
 def modular_form_check(ep: EtaProduct, level: int) -> FormVerdict:
     """Standard eta-quotient criterion for a form with character on Gamma0(level).
 
@@ -126,8 +131,7 @@ def modular_form_check(ep: EtaProduct, level: int) -> FormVerdict:
         problems.append(f"weight {Fraction(k2, 2)} is negative")
     if problems:
         raise NotAFormError("; ".join(problems))
-    # log2 of prod t^|r|, the size of the raw character in bits
-    bits = sum(abs(r) * log2(t) for t, r in fs)
+    bits = _character_bits(ep)
     if bits > _MAX_CHARACTER_BITS:
         raise ValueError(f"the raw character has about {bits:.0f} bits, past "
                          f"the limit of {_MAX_CHARACTER_BITS}")

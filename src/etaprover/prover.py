@@ -11,9 +11,10 @@ and verifies that every q-coefficient of the combination through q^floor(-B)
 vanishes.  By the weight-zero valence formula this is a complete proof, not
 numerical evidence; extra margin coefficients are checked as a safety net.
 The U_p prover in ``up`` runs the same core with the Gordon-Hughes bounds as
-an extra row of the order table, and the ``orders`` command prints the
-table: :func:`_order_table` builds it for all three, in integers over one
-denominator, once per distinct cusp denominator.
+an extra row of the order table and U_p ep in the vanishing check, which
+:func:`_vanishing_parts` assembles for both.  The ``orders`` command prints
+the table: :func:`_order_table` builds it for all three, in integers over
+one denominator, once per distinct cusp denominator.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import floor, gcd, lcm
 from operator import add, mul
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .arith import check_positive
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .etaproducts import EtaCombo, EtaProduct
 from .modularity import modular_function_check
-from .qseries import _product_list
+from .qseries import _check_sweep_work, _euler_sweep, _product_list
 
 __all__ = [
     "Verdict",
@@ -272,6 +273,31 @@ def _parts(combo: EtaCombo, depth: int) -> list:
     return parts
 
 
+def _up_expansion(ep: EtaProduct, p: int, depth: int) -> tuple[int, list]:
+    """(n0, a): up_series(ep.expand(p * depth), p) from q^n0, n0 = ceil(s/p).
+
+    U_p(q^s H(q) G(q^p)) = G(q) U_p(q^s H(q)), s = sum(t*r)/24 integral, for
+    H the factors with p not dividing t: H's list, to p times the depth, is
+    sliced at q^(p*n - s) for n >= n0, and G's factors (t/p, r) sweep it."""
+    s = ep.degree24 // 24
+    n0 = -(-s // p)
+    h = [(t, r) for t, r in ep.factors if t % p]
+    g = [(t // p, r) for t, r in ep.factors if t % p == 0]
+    a = _product_list(h, p * (depth - 1) - s + 1)[p * n0 - s::p]
+    _check_sweep_work(g, len(a))
+    for t, r in g:
+        _euler_sweep(a, t, r)
+    return n0, a
+
+
+def _vanishing_parts(combo: EtaCombo, depth: int, up=None) -> list:
+    """The parts below q^depth of the series a proof checks for vanishing:
+    ``combo``, or with ``up = (ep, p)`` U_p ep minus ``combo``."""
+    if up is None:
+        return _parts(combo, depth)
+    return [(1, *_up_expansion(*up, depth))] + _parts(-combo, depth)
+
+
 def _leading_term(parts, depth: int) -> Optional[tuple[Fraction, Fraction]]:
     """The first nonzero (exponent, coefficient) below q^depth of the sum of
     k * q^s * a over ``parts`` (rational k, integer s, int list a), or None."""
@@ -287,8 +313,7 @@ def _leading_term(parts, depth: int) -> Optional[tuple[Fraction, Fraction]]:
     return None
 
 
-def _valence_proof(combo: EtaCombo, level: int,
-                   vanishing: Callable[[int], list], *, margin: int,
+def _valence_proof(combo: EtaCombo, level: int, *, margin: int,
                    verify: bool, constants_warning: bool,
                    up=None) -> ProofReport:
     """The proof both provers share, over the terms of ``combo``.
@@ -296,8 +321,8 @@ def _valence_proof(combo: EtaCombo, level: int,
     Newman-checks the terms, builds the order table and B, with the
     Gordon-Hughes row of U_p ep when ``up = (ep, p)`` (see
     :func:`_order_table`), checks that each term's orders total zero and,
-    when ``verify`` is set, checks that ``vanishing(depth)``, the parts of
-    the series that must be 0 below q^depth, vanishes through q^floor(-B).
+    when ``verify`` is set, checks that :func:`_vanishing_parts` below
+    q^depth sums to a series that vanishes through q^floor(-B).
     A nonzero coefficient past that point but below q^depth contradicts the
     valence bound and is raised as an internal error.
 
@@ -321,8 +346,9 @@ def _valence_proof(combo: EtaCombo, level: int,
     depth = max(required, 0) + margin
     report = replace(report, verdict=Verdict.PROVED, checked_depth=depth - 1)
     probe = min(max(required, 0) + 1, depth // _PROBE_SHARE)
-    lead = _leading_term(vanishing(probe), probe) if probe >= 1 else None
-    lead = lead or _leading_term(vanishing(depth), depth)
+    lead = (_leading_term(_vanishing_parts(combo, probe, up), probe)
+            if probe >= 1 else None)
+    lead = lead or _leading_term(_vanishing_parts(combo, depth, up), depth)
     if lead is None:
         return report
     if lead[0] > required:
@@ -363,9 +389,8 @@ def prove_identity(combo: EtaCombo, level: int, margin: int = 10,
             required_depth=0, checked_depth=0,
             constants_warning=constants_warning,
             failure=(Fraction(0), Fraction(1)))
-    return _valence_proof(
-        normalized, level, lambda depth: _parts(normalized, depth),
-        margin=margin, verify=verify, constants_warning=constants_warning)
+    return _valence_proof(normalized, level, margin=margin, verify=verify,
+                          constants_warning=constants_warning)
 
 
 def format_order_table(report: ProofReport) -> str:

@@ -202,11 +202,9 @@ class QSeries:
         return QSeries._raw(self._e, tuple([-c for c in self._c]), self._t)
 
     def __sub__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            other = QSeries.constant(other)
-        if not isinstance(other, QSeries):
+        if not isinstance(other, (int, Fraction, QSeries)):
             return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other) -> "QSeries":
         return (-self) + other
@@ -440,6 +438,25 @@ def _sweep_count(r: int) -> int:
     return sum(divmod(abs(r), 3))
 
 
+def _sweep_work(t: int, r: int, size: int) -> int:
+    """About the term operations of :func:`_euler_sweep` for (t, r) on a list
+    of ``size``: each sweep adds about sqrt(2*size/t) shifted copies of it."""
+    return _sweep_count(r) * size * isqrt(2 * size // t)
+
+
+_MAX_SWEEP_WORK = 2 ** 25  # term operations of one expansion's sweeps: 3-8 s
+
+
+def _check_sweep_work(factors, size: int) -> None:
+    """Raise ValueError, before any sweep, when the factors (t, r) with
+    t < size would cost more than ``_MAX_SWEEP_WORK`` on a list of ``size``."""
+    work = sum([_sweep_work(t, r, size) for t, r in factors if t < size])
+    if work > _MAX_SWEEP_WORK:
+        raise ValueError(f"the sweeps of this expansion would take about "
+                         f"{work} term operations, past the limit of "
+                         f"{_MAX_SWEEP_WORK}")
+
+
 def _euler_sweep(a: list, t: int, r: int) -> None:
     """Multiply the dense series ``a`` (a[n] is the coefficient of q^n) in
     place by prod_{n>=1} (1 - q^(t*n))^r, truncated at its length: one sweep
@@ -495,10 +512,12 @@ def _euler_power(r: int, size: int) -> list:
 def _product_list(factors: tuple, size: int) -> list:
     """The dense list of prod_{n>=1} (1 - q^(t*n))^r over the (t, r) in
     ``factors``, below q^size.  The factor whose sweeps would cost most is
-    read from the power table, and every other factor sweeps it."""
+    read from the power table, and every other factor sweeps it, unless
+    :func:`_check_sweep_work` refuses their cost first."""
     _, t0, r0 = max(((_sweep_count(r) / sqrt(t), t, r) for t, r in factors
                      if t < size), default=(0, 0, 0))
     a = _unit_list(size)
+    _check_sweep_work([(t, r) for t, r in factors if t != t0], size)
     if t0:
         a[::t0] = _euler_power(r0, -(-size // t0))
     for t, r in factors:

@@ -20,8 +20,8 @@ from .cusps import (  # noqa: F401
 from .errors import PreconditionError
 from .etaproducts import EtaCombo, EtaProduct
 from .modularity import modular_function_check
-from .prover import ProofReport, _not_applicable, _parts, _valence_proof
-from .qseries import QSeries, _euler_sweep, _product_list
+from .prover import ProofReport, _not_applicable, _valence_proof
+from .qseries import QSeries
 
 __all__ = ["up_series", "up_order_lower_bound", "prove_up_identity"]
 
@@ -69,22 +69,6 @@ def up_order_lower_bound(ep: EtaProduct, cusp: Cusp, level: int,
                     24 * p * m)
 
 
-def _up_expansion(ep: EtaProduct, p: int, depth: int) -> tuple[int, list]:
-    """(n0, a): up_series(ep.expand(p * depth), p) from q^n0, n0 = ceil(s/p).
-
-    U_p(q^s H(q) G(q^p)) = G(q) U_p(q^s H(q)), s = sum(t*r)/24 integral, for
-    H the factors with p not dividing t: H's list, to p times the depth, is
-    sliced at q^(p*n - s) for n >= n0, and G's factors (t/p, r) sweep it."""
-    s = ep.degree24 // 24
-    n0 = -(-s // p)
-    h = [(t, r) for t, r in ep.factors if t % p]
-    g = [(t // p, r) for t, r in ep.factors if t % p == 0]
-    a = _product_list(h, p * (depth - 1) - s + 1)[p * n0 - s::p]
-    for t, r in g:
-        _euler_sweep(a, t, r)
-    return n0, a
-
-
 def prove_up_identity(ep: EtaProduct, p: int, rhs: EtaCombo, level: int,
                       margin: int = 10, verify: bool = True) -> ProofReport:
     """Prove or refute U_p(ep) = rhs on Gamma0(level).
@@ -106,10 +90,5 @@ def prove_up_identity(ep: EtaProduct, p: int, rhs: EtaCombo, level: int,
             level,
             f"{ep} fails condition(s) {conds} on Gamma0({p * level})",
             up_p=p)
-
-    def vanishing(depth: int) -> list:  # U_p side minus rhs, as parts
-        return [(1, *_up_expansion(ep, p, depth))] + _parts(-rhs, depth)
-
-    return _valence_proof(
-        rhs, level, vanishing, margin=margin, verify=verify,
-        constants_warning=rhs.constant != 0, up=(ep, p))
+    return _valence_proof(rhs, level, margin=margin, verify=verify,
+                          constants_warning=rhs.constant != 0, up=(ep, p))

@@ -55,6 +55,7 @@ NEWMAN = ("tests/test_modularity.py::"
 VANISHING_PERTURBED = ("tests/test_prover.py::"
                        "test_perturbed_identities_fail_where_the_qseries_route_does")
 VANISHING = "tests/test_prover.py::test_leading_term_equals_the_qseries_route"
+SWEEP_WORK = "tests/test_kernel.py::test_sweep_work_stops_at_the_limit"
 
 MUTANTS = [
     # The list builder and its seed choice.
@@ -85,6 +86,12 @@ MUTANTS = [
     ("accept one list past the limit", "qseries.py",
      "if size > _MAX_SIZE:", "if size > _MAX_SIZE + 1:",
      ["tests/test_kernel.py::test_dense_lists_stop_at_the_size_limit"]),
+    # The limit on the sweeps one expansion asks for, H's and G's.
+    ("accept sweep work one past the limit", "qseries.py",
+     "if work > _MAX_SWEEP_WORK:", "if work > _MAX_SWEEP_WORK + 1:",
+     [SWEEP_WORK]),
+    ("leave the U_p side's G sweeps unpriced", "prover.py",
+     "    _check_sweep_work(g, len(a))\n", "", [SWEEP_WORK]),
     # QSeries internals.
     ("drop the top term of an exact product", "qseries.py",
      "lim = be[-1] + 1 if t is None else t - ea",
@@ -101,11 +108,11 @@ MUTANTS = [
      ["tests/test_cli.py::test_expand_no_prefactor",
       "tests/test_qseries.py::test_from_list_matches_dict_constructor"]),
     # The U_p left-hand side, sliced from H's list.
-    ("start the slice one place late", "up.py",
+    ("start the slice one place late", "prover.py",
      "[p * n0 - s::p]", "[p * n0 - s + 1::p]", UP_EXPANSION),
-    ("slice with stride p - 1", "up.py",
+    ("slice with stride p - 1", "prover.py",
      "[p * n0 - s::p]", "[p * n0 - s::p - 1]", UP_EXPANSION),
-    ("sweep G at t instead of t/p", "up.py",
+    ("sweep G at t instead of t/p", "prover.py",
      "g = [(t // p, r)", "g = [(t, r)", UP_EXPANSION),
     # The order table and bound B (prover._order_table and its integer helpers).
     ("drop the cusp-count weight in B", "prover.py",
@@ -173,9 +180,10 @@ MUTANTS = [
     ("accept one cusp class past the limit", "cusps.py",
      "if count > _MAX_CUSPS:", "if count > _MAX_CUSPS + 1:",
      ["tests/test_cusps.py::test_cusp_classes_are_counted_before_any_is_built"]),
-    # The integer vanishing check both provers share (prover._leading_term).
-    ("leave the rhs parts unnegated", "up.py",
-     "+ _parts(-rhs, depth)", "+ _parts(rhs, depth)",
+    # The integer vanishing check both provers share (prover._vanishing_parts
+    # assembles it, prover._leading_term sums it).
+    ("leave the rhs parts unnegated", "prover.py",
+     "_parts(-combo, depth)", "_parts(combo, depth)",
      [VANISHING_PERTURBED, GOLDEN + "[prove_up_u5_level20_refuted.json]"]),
     ("put a part one place late", "prover.py",
      "i, w = s - low, k.numerator", "i, w = s - low + 1, k.numerator",
@@ -205,6 +213,10 @@ MUTANTS = [
     ("accept a raw character one bit past the limit", "modularity.py",
      "if bits > _MAX_CHARACTER_BITS:", "if bits > _MAX_CHARACTER_BITS + 1:",
      ["tests/test_modularity.py::test_raw_character_stops_at_the_bit_limit"]),
+    ("compare the character's bits, not its digits, with the print limit",
+     "cli.py", "digits = _character_bits(product) * log10(2)",
+     "digits = _character_bits(product)",
+     ["tests/test_cli.py::test_formcheck_refuses_a_character_it_cannot_print"]),
     # The tokenizer, which leaves every error to the parser.
     ("raise in the tokenizer at a bad character", "parser.py",
      '                kind = ch if ch in _PUNCT else "bad"\n',
@@ -222,9 +234,14 @@ MUTANTS = [
     ("let a name start with a numeral", "parser.py",
      'elif ch.isalpha() or ch == "_":', 'elif ch.isalnum() or ch == "_":',
      ["tests/test_parser.py::test_integer_literals_are_decimal_digits"]),
+    # The limit on multiplying combinations out.
+    ("accept one term pair past the limit", "etaproducts.py",
+     "if pairs > _MAX_TERM_PAIRS:", "if pairs > _MAX_TERM_PAIRS + 1:",
+     ["tests/test_etaproducts.py::"
+      "test_multiplying_out_stops_at_the_term_pair_limit"]),
     # eta_factorize's budget.
     ("charge one sweep per factorization step", "etaproducts.py",
-     "budget -= _sweep_count(c) * size", "budget -= size",
+     "budget -= _sweep_work(n, c, size)", "budget -= _sweep_work(n, 1, size)",
      ["tests/test_factorize.py", "-k", "budget"]),
 ]
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etaprover import cli
 from etaprover.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -219,6 +220,20 @@ def test_formcheck_prints_nothing_before_an_error(capsys):
     assert err.count("error:") == 1 and err.startswith("error:")
 
 
+def test_formcheck_refuses_a_character_it_cannot_print(capsys, monkeypatch):
+    # 2^14280 has 4299 digits and prints; 2^14304 has 4306, past Python's
+    # default limit of 4300, and is refused before it is computed
+    code, out, _ = run(capsys, "formcheck", "[2,14280,1,-14280]", "2")
+    assert code == 0
+    assert out.splitlines()[2].endswith(f"(raw {2 ** 14280})")
+    assert len(str(2 ** 14280)) == 4299
+    monkeypatch.setattr(cli, "modular_form_check", None)  # fails if called
+    code, out, err = run(capsys, "formcheck", "[2,14304,1,-14304]", "2")
+    assert (code, out) == (3, "")
+    assert err == ("error: the raw character has about 4306 digits, past "
+                   "Python's limit of 4300 for printing\n")
+
+
 def test_orders_single_product(capsys):
     code, out, _ = run(capsys, "orders",
                        "[20,-3,10,5,5,-2,4,15,2,-25,1,10]", "20")
@@ -377,13 +392,19 @@ def test_usage_error_exit_code(capsys):
     ["prove", "{nested}", "--level", "6", "--yes"],
     ["formcheck", "[2,240000000000,1,-240000000000]", "2"],
     ["formcheck", "[3,67108848,1,-67108848]", "3"],
+    ["formcheck", "[3,42000000,1,-42000000]", "3"],
+    ["formcheck", "[2,14304,1,-14304]", "2"],
     ["cusps", str(9699690 ** 2)],
     ["prove", str(RAMANUJAN), "--level", str(9699690 ** 2), "--yes"],
+    ["expand", "(eta(1)+eta(2)+eta(3)+eta(4))^40", "--depth", "5"],
+    ["expand", "[1,6000000000,2,-3000000000]", "--depth", "10"],
 ], ids=["non-utf8-file", "5000-digit-literal", "superscript-digit",
         "5000-parentheses", "5000-parentheses-in-let",
         "raw-character-of-2.4e11-bits", "raw-character-of-3^67108848",
+        "raw-character-of-3^42000000", "raw-character-of-4306-digits",
         "34836480-cusp-classes",
-        "prove-at-34836480-cusp-classes"])
+        "prove-at-34836480-cusp-classes",
+        "938961-term-pairs", "10^9-sweeps"])
 def test_rejected_input_is_one_error_line_and_exit_3(argv, tmp_path, capsys):
     latin1 = tmp_path / "latin1.eta"
     latin1.write_bytes("eta(1) - 1  # caf\u00e9\n".encode("latin-1"))

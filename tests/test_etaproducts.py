@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etaprover import EtaCombo, EtaProduct, QSeries, eta_factorize, eta_series
+import etaprover.etaproducts as etaproducts
+from etaprover import (EtaCombo, EtaProduct, QSeries, eta_factorize, eta_series,
+                       parse_expression)
 from etaprover.errors import NotAnEtaProductError
 
 from oracles import eta_quotient_brute, random_eta_product
@@ -277,6 +280,27 @@ def test_sum_and_constant_powers_unchanged(n):
     for combo in (EtaCombo(9, [(1, f)]), EtaCombo(0, [(1, f), (-2, g)]), EtaCombo(F(2, 3))):
         assert combo ** n == _binary_power(combo, n)
     assert EtaCombo(F(2, 3)) ** -3 == EtaCombo(F(27, 8))
+
+
+def test_multiplying_out_stops_at_the_term_pair_limit(monkeypatch):
+    # 3 by 4 terms make 12 products, counted before any is formed; a
+    # constant multiplies no pair
+    a = parse_expression("eta(1) + eta(2) + eta(3) + 5")
+    b = parse_expression("eta(4) + eta(5) + eta(6) + eta(7)")
+    want = a * b
+    monkeypatch.setattr(etaproducts, "_MAX_TERM_PAIRS", 12)
+    assert a * b == want
+    monkeypatch.setattr(etaproducts, "_MAX_TERM_PAIRS", 11)
+    with pytest.raises(ValueError, match="multiplying out 3 by 4 terms makes "
+                                         "12 products, past the limit of 11$"):
+        a * b
+    monkeypatch.setattr(etaproducts, "_MAX_TERM_PAIRS", 0)
+    assert a * 3 == a + a + a and a * EtaCombo(F(1, 2)) == a / 2
+    monkeypatch.undo()
+    # the binomial expansion of a 2-term sum at ^25 is still multiplied out
+    got = {f: k for k, f in parse_expression("(eta(1)+eta(2))^25").terms}
+    assert got == {EtaProduct([(1, k), (2, 25 - k)]): comb(25, k)
+                   for k in range(26)}
 
 
 # -- scalar arithmetic ------------------------------------------------------------

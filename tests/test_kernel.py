@@ -23,7 +23,7 @@ from etaprover.errors import NotAnEtaProductError
 from etaprover import qseries
 from etaprover.qseries import (_POWERS, _euler_power, _euler_sweep, _jacobi_cube,
                                _pentagonal)
-from etaprover.up import _up_expansion
+from etaprover.prover import _up_expansion
 
 from oracles import (eta_quotient_brute, euler_brute, euler_sweep_scalar,
                      miller_pow_inverse_branch, pdiv, pmul, ppow)
@@ -471,6 +471,32 @@ def test_dense_lists_stop_at_the_size_limit():
                   lambda size: eta_factorize(QSeries.one(), size)):
         with pytest.raises(ValueError, match=message):
             build(limit + 1)
+
+
+def test_sweep_work_stops_at_the_limit(monkeypatch):
+    # (1, 10) is read from the table; (2, -5) sweeps 3 times over 50
+    # coefficients with isqrt(2*50/2) = 7 terms; in U_5 of [10,-5,1,50] it is
+    # the one G factor, swept over the sliced list of 50 coefficients
+    assert qseries._sweep_work(2, -5, 50) == 3 * 50 * 7
+    ep = EtaProduct.from_flat([10, -5, 1, 50])
+    builds = [lambda: qseries._product_list(((2, -5), (1, 10)), 50),
+              lambda: _up_expansion(ep, 5, 50)[1]]
+    want = [build() for build in builds]
+    message = "would take about 1050 term operations, past the limit of 1049$"
+    for build, a in zip(builds, want):
+        monkeypatch.setattr(qseries, "_MAX_SWEEP_WORK", 1050)
+        assert build() == a
+        monkeypatch.setattr(qseries, "_MAX_SWEEP_WORK", 1049)
+        with pytest.raises(ValueError, match=message):
+            build()
+    monkeypatch.undo()
+    # 10^9 sweeps at t = 2 are refused before any (a huge exponent past the
+    # depth is not counted: test_huge_exponent_past_the_depth_costs_nothing)
+    with pytest.raises(ValueError, match="about 30000000000 term operations"):
+        qseries._product_list(((2, -3 * 10 ** 9), (1, 6 * 10 ** 9)), 10)
+    with pytest.raises(ValueError, match="past the limit of 33554432$"):
+        _up_expansion(EtaProduct.from_flat([10, -3 * 10 ** 9, 5, 6 * 10 ** 9]),
+                      5, 10)
 
 
 def test_returned_lists_are_not_the_stored_ones():

@@ -30,8 +30,7 @@ from etaprover.errors import (
 )
 from etaprover.cli import main
 from etaprover.prover import (
-    _leading_term, _order_table, _parts, _valence_proof)
-from etaprover.up import _up_expansion
+    _leading_term, _order_table, _valence_proof, _vanishing_parts)
 
 from oracles import (
     leading_term_qseries,
@@ -413,14 +412,15 @@ def test_probe_leaves_refuted_golden_byte_identical(monkeypatch):
 
 
 @pytest.mark.parametrize("truncates", [True, False])
-def test_nonzero_past_required_still_raises(truncates):
+def test_nonzero_past_required_still_raises(truncates, monkeypatch):
     """A vanishing series whose first nonzero lies past q^required contradicts
     the valence bound, whether the probe or the full expansion meets it."""
     combo = normalize_identity(_pq(9))
-    def vanishing(depth):  # the parts of q^5, cut at the depth or not
+    def parts_of_q5(combo, depth, up=None):  # cut at the depth or not
         return [(F(1), 5, [1][:max(depth - 5, 0)] if truncates else [1])]
+    monkeypatch.setattr(prover_module, "_vanishing_parts", parts_of_q5)
     with pytest.raises(InternalInconsistencyError, match="q\\^5"):
-        _valence_proof(combo, 6, vanishing, margin=40, verify=True,
+        _valence_proof(combo, 6, margin=40, verify=True,
                        constants_warning=False)
 
 
@@ -489,11 +489,9 @@ ups_st = st.none() | st.tuples(factors_st, st.integers(-4, 8),
 @example(F(2), [], 0, ([], -1, 2))  # U_p at depth n0 = ceil(s/p): empty
 def test_leading_term_equals_the_qseries_route(constant, terms, depth, up):
     combo = EtaCombo(constant, [(k, _whole(fs, s)) for k, fs, s in terms])
-    if up is None:
-        parts = _parts(combo, depth)
-    else:
+    if up is not None:
         up = (_whole(*up[:2]), up[2])
-        parts = [(1, *_up_expansion(*up, depth))] + _parts(-combo, depth)
+    parts = _vanishing_parts(combo, depth, up)
     assert _leading_term(parts, depth) == leading_term_qseries(combo, depth, up)
 
 

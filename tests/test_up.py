@@ -23,7 +23,7 @@ from etaprover import (
 )
 from etaprover.arith import nu, prime_factors
 from etaprover.errors import FractionalExponentError, PreconditionError
-from etaprover.up import _up_expansion
+from etaprover.prover import _up_expansion
 
 from oracles import gordon_hughes_brute, sampled_modular_product
 
@@ -366,6 +366,7 @@ def test_up_expansion_by_sign_of_s(flat, p):
 def test_up_expansion_slices_one_list(monkeypatch, flat, p, depth, want):
     # one dense list, sliced and swept, and no QSeries built; no sift
     import etaprover.etaproducts as etaproducts_module
+    import etaprover.prover as prover_module
     import etaprover.up as up_module
     ep = EtaProduct.from_flat(flat)
     expected = _up_reference(ep, p, depth)
@@ -376,7 +377,7 @@ def test_up_expansion_slices_one_list(monkeypatch, flat, p, depth, want):
         monkeypatch.setattr(owner, name, wrap(
             lambda *args: calls.append(name) or f(*args)))
 
-    for owner in (up_module, etaproducts_module):
+    for owner in (prover_module, etaproducts_module):
         spy(owner, "_product_list")
     spy(up_module, "up_series")
     spy(QSeries, "sift")

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .etaproducts import EtaProduct, eta_factorize
 from .modularity import (
-    _character_bits, modular_function_check, modular_form_check)
+    _character_bits, _require_form, modular_function_check, modular_form_check)
 from .parser import UpIdentity, parse_expression, parse_program
 from .prover import (
     ProofReport,
@@ -183,14 +183,15 @@ def _cmd_check(args) -> int:
 
 def _cmd_formcheck(args) -> int:
     product = _single_product(args.expr, "formcheck")
-    # the raw character has floor(digits) + 1 decimal digits; refuse it
-    # before it is computed when Python cannot print it (a limit of 0: none)
-    digits = _character_bits(product) * log10(2)
-    limit = sys.get_int_max_str_digits()
-    if limit and digits >= limit:
-        raise ValueError(f"the raw character has about {digits:.0f} digits, "
-                         f"past Python's limit of {limit} for printing")
     try:
+        _require_form(product, args.level)
+        # the raw character has floor(digits) + 1 decimal digits; refuse it
+        # before it is computed when Python cannot print it (limit 0: none)
+        digits = _character_bits(product) * log10(2)
+        limit = sys.get_int_max_str_digits()
+        if limit and digits >= limit:
+            raise ValueError(f"the raw character has about {digits:.0f} digits,"
+                             f" past Python's limit of {limit} for printing")
         verdict = modular_form_check(product, args.level)
     except NotAFormError as exc:
         print(f"not a form on Gamma0({args.level}): {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable
 
-from .arith import check_positive, divisors, nu, prime_factors
+from .arith import check_positive, nu, prime_factors
 from .etaproducts import EtaProduct
 
 __all__ = [
@@ -117,15 +117,16 @@ _MAX_CUSPS = 2 ** 21  # cusp classes of one level: about 400 MB of Cusps
 def _cusps(level: int) -> tuple[Cusp, ...]:
     # the number of classes, sum over d | level of phi(gcd(d, level/d)), is
     # the product over p^a || level of sum_i phi(p^min(i, a - i))
-    count = 1
+    count, divs = 1, [1]
     for p, a in prime_factors(level).items():
         count *= sum(q - q // p for q in (p ** min(i, a - i)
                                           for i in range(a + 1)))
+        divs = [d * p ** i for d in divs for i in range(a + 1)]
     if count > _MAX_CUSPS:
         raise ValueError(f"level {level} has {count} cusp classes, past the "
                          f"limit of {_MAX_CUSPS}")
     out: list[Cusp] = []
-    for d in divisors(level):
+    for d in sorted(divs):
         e = gcd(d, level // d)
         picks = []
         for y in range(e):

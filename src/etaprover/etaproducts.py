@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import NotAnEtaProductError
 from .qseries import (QSeries, _euler_sweep, _lattice24, _product_list,
-                      _sweep_work, _unit_list)
+                      _sweep_work, _sweeps, _unit_list)
 
 __all__ = ["EtaProduct", "EtaCombo", "eta_factorize"]
 
@@ -336,6 +336,7 @@ def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
             raise NotAnEtaProductError(
                 f"residual exponent q^{Fraction(e, 24)} off the integer lattice")
         a[e // 24] = c
+    integral = all([type(c) is int for c in u._c])
     # A sweep term and a term of the division's L**2/2 both took about 0.1 us
     # (Python 3.11, measured once), so sweeps wasted on a non-eta-product
     # cost at most a quarter of the division that follows them.
@@ -359,7 +360,10 @@ def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
         if b is None:
             budget -= _sweep_work(n, c, size)
             if budget >= 0:
-                _euler_sweep(a, n, c)
+                if c > 0 and integral:  # a product strip may run packed
+                    _sweeps(a, [(n, c)])
+                else:
+                    _euler_sweep(a, n, c)
                 continue
             b = [0] * size  # from m*a[m] = sum_{k=1..m} b[k]*a[m-k]
             for m in range(n, size):

@@ -104,6 +104,24 @@ def _character_bits(ep: EtaProduct) -> float:
     return sum(abs(r) * log2(t) for t, r in ep.factors)
 
 
+def _require_form(ep: EtaProduct, level: int) -> None:
+    """Raise :class:`NotAFormError` unless ``ep`` meets the conditions of
+    :func:`modular_form_check`, none of which reads the character."""
+    _, c2, _, c4, c5 = modular_function_check(ep, level).conditions
+    problems = []
+    if not c4:
+        bad_t = [t for t, _ in ep.factors if level % t != 0]
+        problems.append(f"multipliers {bad_t} do not divide {level}")
+    if not c2:
+        problems.append("sum of t*r is not divisible by 24")
+    if c4 and not c5:
+        problems.append("sum of (level/t)*r is not divisible by 24")
+    if ep.exponent_sum < 0:
+        problems.append(f"weight {Fraction(ep.exponent_sum, 2)} is negative")
+    if problems:
+        raise NotAFormError("; ".join(problems))
+
+
 def modular_form_check(ep: EtaProduct, level: int) -> FormVerdict:
     """Standard eta-quotient criterion for a form with character on Gamma0(level).
 
@@ -116,21 +134,8 @@ def modular_form_check(ep: EtaProduct, level: int) -> FormVerdict:
     character past ``_MAX_CHARACTER_BITS`` raises ValueError before it is
     computed.
     """
-    _, c2, _, c4, c5 = modular_function_check(ep, level).conditions
-    fs = ep.factors
-    problems = []
-    if not c4:
-        bad_t = [t for t, _ in fs if level % t != 0]
-        problems.append(f"multipliers {bad_t} do not divide {level}")
-    if not c2:
-        problems.append("sum of t*r is not divisible by 24")
-    if c4 and not c5:
-        problems.append("sum of (level/t)*r is not divisible by 24")
-    k2 = ep.exponent_sum
-    if k2 < 0:
-        problems.append(f"weight {Fraction(k2, 2)} is negative")
-    if problems:
-        raise NotAFormError("; ".join(problems))
+    _require_form(ep, level)
+    fs, k2 = ep.factors, ep.exponent_sum
     bits = _character_bits(ep)
     if bits > _MAX_CHARACTER_BITS:
         raise ValueError(f"the raw character has about {bits:.0f} bits, past "

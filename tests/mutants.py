@@ -56,6 +56,9 @@ VANISHING_PERTURBED = ("tests/test_prover.py::"
                        "test_perturbed_identities_fail_where_the_qseries_route_does")
 VANISHING = "tests/test_prover.py::test_leading_term_equals_the_qseries_route"
 SWEEP_WORK = "tests/test_kernel.py::test_sweep_work_stops_at_the_limit"
+WIDTH = "tests/test_kernel.py::test_packed_digits_reach_the_width_bound"
+PACKED = "tests/test_kernel.py::test_packed_route_matches_the_list_sweeps"
+ROUTES = "tests/test_kernel.py::test_sweep_routes_follow_the_cost_model"
 
 MUTANTS = [
     # The list builder and its seed choice.
@@ -68,7 +71,22 @@ MUTANTS = [
      "if t < size), default=(0, 0, 0))", "if t <= size), default=(0, 0, 0))",
      [SEED]),
     ("sweep the seeded factor as well", "qseries.py",
-     "        if t != t0:\n", "        if t:\n", EXPAND),
+     "    _sweeps(a, rest)\n", "    _sweeps(a, factors)\n", EXPAND),
+    # The packed route of qseries._sweeps, its width and its route choice.
+    ("drop the sign bit from the width", "qseries.py",
+     "grow = 1  # the width", "grow = 0  # the width", [WIDTH]),
+    ("leave one sweep's l1 norm out of the width", "qseries.py",
+     ".bit_length() for s in sweeps])", ".bit_length() for s in sweeps[1:]])",
+     [WIDTH]),
+    ("unpack without the bias", "qseries.py",
+     "data = ((A + biases) & mask)", "data = (A & mask)", [WIDTH, PACKED]),
+    ("read a quotient's table entry at stride t + 1", "qseries.py",
+     "[[(t * k, c) for k, c in", "[[((t + 1) * k, c) for k, c in", [PACKED]),
+    ("invert the packed batch's route choice", "qseries.py",
+     "passes) >= saved:", "passes) < saved:", [ROUTES]),
+    ("invert a quotient's route choice", "qseries.py",
+     "top + grow, passes)) >= plain:", "top + grow, passes)) < plain:",
+     [ROUTES]),
     # Miller's recurrence, shared by the power table and QSeries powers.
     ("Miller weight n*j - k", "qseries.py",
      "s += (w * j - k) * c * vj", "s += (n * j - k) * c * vj",

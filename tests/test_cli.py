@@ -234,6 +234,15 @@ def test_formcheck_refuses_a_character_it_cannot_print(capsys, monkeypatch):
                    "Python's limit of 4300 for printing\n")
 
 
+def test_formcheck_reads_the_form_conditions_before_the_print_limit(capsys):
+    # the raw character 2^14305 could not be printed, but [2,14305,1,-14304]
+    # fails Newman's conditions 2 and 5 first: not a form, exit 2
+    code, out, err = run(capsys, "formcheck", "[2,14305,1,-14304]", "2")
+    assert (code, out) == (2, "")
+    assert err == ("not a form on Gamma0(2): sum of t*r is not divisible by "
+                   "24; sum of (level/t)*r is not divisible by 24\n")
+
+
 def test_orders_single_product(capsys):
     code, out, _ = run(capsys, "orders",
                        "[20,-3,10,5,5,-2,4,15,2,-25,1,10]", "20")

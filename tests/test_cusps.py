@@ -107,6 +107,19 @@ def test_cusp_set_is_cached_per_level_as_a_fresh_list():
             cusp_set(level)
 
 
+def test_a_cache_miss_factors_the_level_once(monkeypatch):
+    # the class count and the divisor walk share one factorization
+    calls = []
+    factor = cusps.prime_factors
+    monkeypatch.setattr(cusps, "prime_factors",
+                        lambda n: calls.append(n) or factor(n))
+    for level in (1, 97, 2520, 100800):
+        _cusps.cache_clear()
+        calls.clear()
+        assert cusp_set(level) == cusp_set_brute(level)
+        assert calls == [level]
+
+
 def test_cusp_count_oracle_small_levels():
     for n in range(1, 61):
         expected = sum(totient(gcd(d, n // d))

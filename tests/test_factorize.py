@@ -41,11 +41,14 @@ def assert_same(series, depth=None):
 
 
 def swept_steps(monkeypatch):
-    """Record the exponent n of every sweep ``eta_factorize`` makes."""
+    """Record the exponent n of every sweep ``eta_factorize`` makes, on the
+    list or, for a product strip, through ``_sweeps``."""
     steps = []
-    sweep = etaproducts._euler_sweep
+    sweep, sweeps = etaproducts._euler_sweep, etaproducts._sweeps
     monkeypatch.setattr(etaproducts, "_euler_sweep",
                         lambda a, n, c: (steps.append(n), sweep(a, n, c)))
+    monkeypatch.setattr(etaproducts, "_sweeps", lambda a, fs: (
+        steps.extend([n for n, _ in fs]), sweeps(a, fs)))
     return steps
 
 

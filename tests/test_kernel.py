@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from etaprover import EtaCombo, EtaProduct, QSeries, eta_factorize, euler_product
 from etaprover.errors import NotAnEtaProductError
-from etaprover import qseries
+from etaprover import prover, qseries
 from etaprover.qseries import (_POWERS, _euler_power, _euler_sweep, _jacobi_cube,
                                _pentagonal)
 from etaprover.prover import _up_expansion
@@ -587,9 +587,23 @@ def random_seed_cases(count=40):
 
 
 def table_requests(case, monkeypatch) -> list:
-    calls = []
-    monkeypatch.setattr(qseries, "_euler_power", lambda r, size:
-                        calls.append((r, size)) or _euler_power(r, size))
+    """The table requests made outside ``_sweeps``, that is the seed's alone:
+    a quotient on the packed route reads its entry inside ``_sweeps``."""
+    calls, inside, sweeps = [], [], qseries._sweeps
+
+    def power(r, size):
+        if not inside:
+            calls.append((r, size))
+        return _euler_power(r, size)
+
+    def spy(a, factors):
+        inside.append(factors)
+        sweeps(a, factors)
+        inside.pop()
+
+    monkeypatch.setattr(qseries, "_euler_power", power)
+    for owner in (qseries, prover):
+        monkeypatch.setattr(owner, "_sweeps", spy)
     kind, flat, *rest = case
     ep = EtaProduct.from_flat(flat)
     if kind == "expand":
@@ -608,3 +622,110 @@ def test_expansions_seed_the_same_factors(monkeypatch):
         assert table_requests(case, monkeypatch) == want, case
     got = [table_requests(case, monkeypatch) for case in random_seed_cases()]
     assert got == [[] if c is None else [c] for c in RANDOM_SEEDS]
+
+
+# -- the two routes of qseries._sweeps ------------------------------------------------
+#
+# _sweeps runs each factor on the list (_euler_sweep) or packed into one integer
+# (Kronecker substitution), as qseries._route_cost decides; both give the same
+# list.  Replacing the cost function forces a route: "list" prices every packed
+# batch above the sweeps it would replace, "packed" prices it at nothing.
+
+FORCE = {"list": lambda size, t, r, bits=0, passes=0: 0.0 if t else 1.0,
+         "packed": lambda size, t, r, bits=0, passes=0: 1.0 if t else 0.0}
+
+
+def routed(a, factors, route):
+    """``a`` after ``_sweeps`` on the given route, with the factors that ran
+    on the list."""
+    b, listed = list(a), []
+    with mock.patch.object(qseries, "_route_cost", FORCE[route]), \
+            mock.patch.object(qseries, "_euler_sweep", lambda a, t, r: (
+                listed.append((t, r)), _euler_sweep(a, t, r))):
+        qseries._sweeps(b, factors)
+    return b, listed
+
+
+route_factors = st.lists(st.tuples(st.integers(1, 12),
+                                   st.integers(-9, 9).filter(bool)), max_size=4)
+
+
+@given(st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                          st.integers(-2 ** 300, 2 ** 300)), max_size=60),
+       route_factors)
+@example([], [(1, 2), (2, -3)])  # an empty list
+@example([5, -7], [(3, 4), (2, -1)])  # L <= t
+@example([2 ** 400 + 1, -3, 2 ** 90], [(1, -5), (2, 7)])
+def test_packed_route_matches_the_list_sweeps(a, factors):
+    # quotients included, which the packed route reads from the power table
+    want = list(a)
+    for t, r in factors:
+        euler_sweep_scalar(want, t, r)
+    got, listed = routed(a, factors, "packed")
+    assert got == want and listed == []
+    assert routed(a, factors, "list")[0] == want
+    assert qseries._sweeps(list(a), factors) is None
+
+
+@pytest.mark.parametrize("t, r, size", [(1, 1, 60), (1, 3, 60), (2, 1, 91),
+                                        (3, 3, 200), (2, -1, 40), (5, -4, 77),
+                                        (1, -2, 30)])
+def test_packed_digits_reach_the_width_bound(t, r, size):
+    # one sweep S, its coefficients c_e aligned with a[size-1-e] = M sign(c_e),
+    # so the last coefficient is M |S|_1, the most the width admits; top is
+    # chosen so that bits(M) + bits(|S|_1) + 1 = 8k + 1, one bit past a whole
+    # byte: a width one bit short of it would lose that byte
+    if r > 0:
+        (series,) = qseries._sweep_terms(t, r, size)
+    else:
+        series = [(t * k, c) for k, c in
+                  enumerate(_euler_power(r, -(-size // t))) if c][1:]
+    terms = [(0, 1), *series]
+    l1 = sum(abs(c) for _, c in terms)
+    bits = l1.bit_length()
+    top = -bits % 8 + 8 * (1 + bits // 8)
+    M = 2 ** top - 1
+    a = [(-1) ** n * M for n in range(size)]  # entries off the alignment
+    for e, c in terms:
+        a[size - 1 - e] = M if c > 0 else -M
+    got, listed = routed(a, [(t, r)], "packed")
+    want = list(a)
+    euler_sweep_scalar(want, t, r)
+    assert listed == [] and got == want
+    assert got[-1] == M * l1 and (M * l1).bit_length() == top + bits
+
+
+SWEEP_ROUTES = [  # (kind, flat product, size[, p]) -> the factors run on the list
+    (("list", U20_LHS, 506), [(100, -3)]),
+    (("list", [50, -1, 25, 1, 2, 1, 1, -1], 1301), []),
+    (("list", [5, 6, 1, -6], 400), []),
+    (("list", [10, 8, 5, -4, 2, -8, 1, 4], 560), [(5, -4)]),
+    (("list", [20, -3, 10, 5, 5, -2, 4, -1, 2, -1, 1, 2], 560),
+     [(4, -1), (2, -1)]),
+    (("list", [25, 1, 1, -1], 2004), [(25, 1)]),
+    (("list", [49, 1, 1, -1], 2100), [(49, 1)]),
+    (("list", [25, 1, 1, -1], 80), [(25, 1)]),
+    (("list", [5, 6, 1, -6], 20), [(5, 6)]),
+    (("list", [7, 4, 1, -4], 40), [(7, 4)]),
+    (("list", [6, 8, 3, -4, 2, -8, 1, 4], 12), []),
+    (("up", U20_LHS, 5, 106), []),
+    (("up", [25, 1, 1, -1], 5, 401), [(5, 1)]),
+]
+
+
+@pytest.mark.parametrize("case, want", SWEEP_ROUTES)
+def test_sweep_routes_follow_the_cost_model(case, want, monkeypatch):
+    # products with many sweeps pack, at deep sizes and at some corpus ones;
+    # products with few sweeps stay on the list, where packing and unpacking
+    # would cost more than the sweeps: the prototype's losing cases
+    listed = []
+    monkeypatch.setattr(qseries, "_euler_sweep", lambda a, t, r: (
+        listed.append((t, r)), _euler_sweep(a, t, r)))
+    kind, flat, *rest = case
+    ep = EtaProduct.from_flat(flat)
+    build = ((lambda: qseries._product_list(ep.factors, rest[0])) if
+             kind == "list" else (lambda: _up_expansion(ep, *rest)[1]))
+    got = build()
+    assert listed == want
+    monkeypatch.setattr(qseries, "_route_cost", FORCE["list"])
+    assert got == build()

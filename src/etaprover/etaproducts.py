@@ -15,8 +15,8 @@ from operator import mul
 from typing import Iterable, Optional, Union
 
 from .errors import NotAnEtaProductError
-from .qseries import (QSeries, _euler_sweep, _lattice24, _product_list,
-                      _sweep_work, _sweeps, _unit_list)
+from .qseries import (QSeries, _division_cost, _euler_sweep, _lattice24,
+                      _product_list, _route_cost, _sweeps, _unit_list)
 
 __all__ = ["EtaProduct", "EtaCombo", "eta_factorize"]
 
@@ -50,10 +50,7 @@ class EtaProduct:
 
     def flat(self) -> list[int]:
         """Flat list encoding [t1, r1, t2, r2, ...] in canonical order."""
-        out: list[int] = []
-        for t, r in self._factors:
-            out.extend((t, r))
-        return out
+        return [x for factor in self._factors for x in factor]
 
     @property
     def factors(self) -> tuple[tuple[int, int], ...]:
@@ -307,10 +304,10 @@ def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
     non-integer step coefficient, or a leading power inconsistent with the
     recovered factors raises :class:`NotAnEtaProductError`.
 
-    A sweep step costs about (|c|//3 + |c|%3)*L*sqrt(2L/n) term operations
-    for u of length L, and c grows exponentially in n when f is not an
-    eta-product.  Once the sweeps would pass a budget of L**2/8 operations,
-    the rest runs on b = q*u'/u, computed once by an O(L^2) division.  There
+    A sweep step's price grows with |c|, and c grows exponentially in n when
+    f is not an eta-product.  Once the steps' prices would pass a quarter of
+    the division's (``qseries._route_cost`` and ``_division_cost``), the rest
+    runs on b = q*u'/u, computed once by that O(L^2) division.  There
     b starts with n*c*q^n, and dividing the factor out subtracts c*d from b
     at every multiple of each d in n, 2n, ..., so a step costs about L/n
     however large c is.
@@ -337,10 +334,7 @@ def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
                 f"residual exponent q^{Fraction(e, 24)} off the integer lattice")
         a[e // 24] = c
     integral = all([type(c) is int for c in u._c])
-    # A sweep term and a term of the division's L**2/2 both took about 0.1 us
-    # (Python 3.11, measured once), so sweeps wasted on a non-eta-product
-    # cost at most a quarter of the division that follows them.
-    budget = size * size // 8
+    budget = _division_cost(size) / 4
     b = None  # q*u'/u, once the sweeps have passed their budget
     factors: list[tuple[int, int]] = []
     for n in range(1, size):
@@ -358,7 +352,7 @@ def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
         c = c.numerator
         factors.append((n, -c))
         if b is None:
-            budget -= _sweep_work(n, c, size)
+            budget -= _route_cost(size, n, c)
             if budget >= 0:
                 if c > 0 and integral:  # a product strip may run packed
                     _sweeps(a, [(n, c)])

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .etaproducts import EtaCombo, EtaProduct
 from .modularity import modular_function_check
-from .qseries import _check_sweep_work, _product_list, _sweeps
+from .qseries import _product_list, _sweeps
 
 __all__ = [
     "Verdict",
@@ -284,7 +284,6 @@ def _up_expansion(ep: EtaProduct, p: int, depth: int) -> tuple[int, list]:
     h = [(t, r) for t, r in ep.factors if t % p]
     g = [(t // p, r) for t, r in ep.factors if t % p == 0]
     a = _product_list(h, p * (depth - 1) - s + 1)[p * n0 - s::p]
-    _check_sweep_work(g, len(a))
     _sweeps(a, g)
     return n0, a
 

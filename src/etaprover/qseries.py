@@ -21,7 +21,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -61,11 +61,7 @@ def _coeff(c: Coefficient) -> Coefficient:
 
 
 def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return b if a is None else a if b is None else min(a, b)
 
 
 class LeadingTerm(NamedTuple):
@@ -98,9 +94,7 @@ class QSeries:
     @classmethod
     def _raw(cls, e: tuple, c: tuple, t: Optional[int]) -> "QSeries":
         s = object.__new__(cls)
-        s._e = e
-        s._c = c
-        s._t = t
+        s._e, s._c, s._t = e, c, t
         return s
 
     @classmethod
@@ -182,10 +176,6 @@ class QSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def _first_unknown(self) -> Optional[int]:
-        """Smallest exponent at which the series might be nonzero (None = +inf)."""
-        return self._e[0] if self._e else self._t
-
     def __add__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
             other = QSeries.constant(other)
@@ -221,7 +211,8 @@ class QSeries:
             return self._scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        la, lb = self._first_unknown(), other._first_unknown()
+        # the smallest exponents at which each might be nonzero (None = +inf)
+        la, lb = [s._e[0] if s._e else s._t for s in (self, other)]
         cands = []
         if self._t is not None and lb is not None:
             cands.append(self._t + lb)
@@ -400,6 +391,8 @@ def _jacobi_cube(limit: int) -> list[tuple[int, int]]:
 
 
 _MAX_SIZE = 2 ** 20  # coefficients in one dense list: 8 MiB of references
+_MAX_NS = 2 ** 25 * 100  # the price of one expansion: about 3.4 s
+_DIVISION_NS = 100  # a product of eta_factorize's O(L^2) division
 
 
 def _unit_list(size: int) -> list:
@@ -432,30 +425,6 @@ def _miller_pow(terms: list, n: int, size: int) -> list:
             s = s // k if integral else Fraction(s, k)
         v[k] = s
     return v
-
-
-def _sweep_count(r: int) -> int:
-    """The number of sweeps :func:`_euler_sweep` makes for the exponent r."""
-    return sum(divmod(abs(r), 3))
-
-
-def _sweep_work(t: int, r: int, size: int) -> int:
-    """About the term operations of :func:`_euler_sweep` for (t, r) on a list
-    of ``size``: each sweep adds about sqrt(2*size/t) shifted copies of it."""
-    return _sweep_count(r) * size * isqrt(2 * size // t)
-
-
-_MAX_SWEEP_WORK = 2 ** 25  # term operations of one expansion's sweeps: 3-8 s
-
-
-def _check_sweep_work(factors, size: int) -> None:
-    """Raise ValueError, before any sweep, when the factors (t, r) with
-    t < size would cost more than ``_MAX_SWEEP_WORK`` on a list of ``size``."""
-    work = sum([_sweep_work(t, r, size) for t, r in factors if t < size])
-    if work > _MAX_SWEEP_WORK:
-        raise ValueError(f"the sweeps of this expansion would take about "
-                         f"{work} term operations, past the limit of "
-                         f"{_MAX_SWEEP_WORK}")
 
 
 @lru_cache(maxsize=256)
@@ -494,22 +463,54 @@ def _euler_sweep(a: list, t: int, r: int) -> None:
             a[n] += s
 
 
+@lru_cache(maxsize=1024)
+def _sweep_ops(t: int, size: int) -> tuple:
+    """(cube, euler, count): the sums of size - e over the terms c q^e,
+    0 < e < size, of Jacobi's cube and Euler's series at t, and the count of
+    Euler's, in closed form over e/t = k(k+1)/2 and j(3j -+ 1)/2, k, j >= 1."""
+    n = max(-(-size // t) - 1, 0)
+    K, root = (isqrt(8 * n + 1) - 1) // 2, isqrt(24 * n + 1)
+    J1, J2 = (root + 1) // 6, (root - 1) // 6
+    cube = K * size - t * K * (K + 1) * (K + 2) // 6
+    euler = (J1 + J2) * size - t * (J1 * J1 * (J1 + 1) + J2 * (J2 + 1) ** 2) // 2
+    return cube, euler, J1 + J2
+
+
 def _route_cost(size: int, t: int, r: int, bits: int = 0, passes: int = 0) -> float:
     """About the ns of (t, r) on a list of ``size`` ints of ``bits`` bits, or
     for t = 0 of packing it ``bits`` bits an int, ``passes`` shift-add passes
     over it and unpacking it: per term operation on the list 50 (a product's,
     twice for |c| > 1) or 100 (a quotient's), 2% more per 10 bits; per int
-    370 plus 0.9 a bit, and 0.037 a bit a pass; fitted once by least squares
-    to timed runs on random lists of 30 to 2000 ints of 4 to 250 bits
-    (Python 3.11.7, 2 vCPUs)."""
+    370 plus 0.9 a bit, and 0.037 a bit a pass.  It picks each route of
+    :func:`_sweeps`, and its list price (bits 0) the seed, the refusal past
+    ``_MAX_NS`` and ``eta_factorize``'s switch.  Fitted by least squares on
+    lists of 30 to 2000 ints of 4 to 250 bits (Python 3.11.7, 2 vCPUs); a
+    quotient operation took 190-235 ns on lists of 100000, past that range."""
     if not t:
         return size * (370 + 0.9 * bits + 0.037 * bits * passes)
-    ops = sum([(size - e) * (1 + (r > 0 and c * c > 1))
-               for s in _sweep_terms(t, r, size) for e, c in s])
+    cube, euler, _ = _sweep_ops(t, size)
+    cubes, ones = divmod(abs(r), 3)
+    ops = (1 + (r > 0)) * cubes * cube + ones * euler
     return (50 if r > 0 else 100) * (1 + bits / 500) * ops
 
 
-def _sweeps(a: list, factors) -> None:
+def _division_cost(size: int) -> float:
+    """About the ns of ``eta_factorize``'s division of a list of ``size``."""
+    return _DIVISION_NS * size * size / 2
+
+
+def _check_price(factors, size: int, fill: int = 0) -> None:
+    """Raise ValueError, before any work, when the list price of the factors
+    (t, r) on a list of ``size``, plus Miller's fill of an entry of ``fill``
+    (fill x its pentagonal terms at the quotient rate) passes ``_MAX_NS``."""
+    ns = sum([_route_cost(size, t, r) for t, r in factors],
+             100 * fill * _sweep_ops(1, fill)[2])
+    if ns > _MAX_NS:
+        raise ValueError(f"this expansion would take about {ns:.0f} ns, "
+                         f"past the limit of {_MAX_NS:.0f} ns")
+
+
+def _sweeps(a: list, factors, seed: tuple = (0, 0)) -> None:
     """Multiply the int list ``a`` in place by prod_{n>=1} (1 - q^(t*n))^r for
     each (t, r) in ``factors``, below its length: by :func:`_euler_sweep`, or
     on A = sum a[n] 2^(w n) mod 2^(w len(a)) by a shift-add per term of a
@@ -518,12 +519,21 @@ def _sweeps(a: list, factors) -> None:
     past 1 + bits(max |a|) + the bits of each l1 norm.  A quotient, shortest
     entry first, joins the packed products if :func:`_route_cost` says that
     saves time, else runs first on the list, as the batch does unless packing
-    it saves time."""
+    it saves time.  A ``seed`` (t0, r0), t0 > 0, is read from the power
+    table into a = [1, 0, ...] before them, unless :func:`_check_price`
+    refuses its fill and the factors first."""
     size, lists, batch, saved, passes = len(a), [], [], 0, 0
-    top = max(map(abs, a), default=0).bit_length()
+    fill = seed[0] and -(-size // seed[0])
+    _check_price(factors, size, fill)
+    if fill:
+        a[::seed[0]] = _euler_power(seed[1], fill)
+    factors = sorted([f for f in factors if f[0] < size],
+                     key=lambda f: (f[1] < 0, -f[0]))
+    if not factors:
+        return
+    top = max(map(abs, a)).bit_length()
     grow = 1  # the width past bits(max |a|): the sign bit and each l1 norm's
-    for t, r in sorted([f for f in factors if f[0] < size],
-                       key=lambda f: (f[1] < 0, -f[0])):
+    for t, r in factors:
         plain = _route_cost(size, t, r, top)
         sweeps = (_sweep_terms(t, r, size) if r > 0 else [[(t * k, c) for k, c in
                   enumerate(_euler_power(r, -(-size // t))) if c][1:]])
@@ -581,16 +591,12 @@ def _euler_power(r: int, size: int) -> list:
 
 def _product_list(factors: tuple, size: int) -> list:
     """The dense list of prod_{n>=1} (1 - q^(t*n))^r over the (t, r) in
-    ``factors``, below q^size.  The factor whose sweeps would cost most is
-    read from the power table, and :func:`_sweeps` applies every other
-    factor, unless :func:`_check_sweep_work` refuses their cost first."""
-    _, t0, r0 = max(((_sweep_count(r) / sqrt(t), t, r) for t, r in factors
-                     if t < size), default=(0, 0, 0))
-    a, rest = _unit_list(size), [(t, r) for t, r in factors if t != t0]
-    _check_sweep_work(rest, size)
-    if t0:
-        a[::t0] = _euler_power(r0, -(-size // t0))
-    _sweeps(a, rest)
+    ``factors``, below q^size: :func:`_sweeps` seeds the list with the
+    factor of the largest list price and applies every other factor."""
+    a = _unit_list(size)
+    _, t0, r0 = max([(_route_cost(size, t, r), t, r) for t, r in factors
+                     if t < size], default=(0, 0, 0))
+    _sweeps(a, [(t, r) for t, r in factors if t != t0], (t0, r0))
     return a
 
 
@@ -609,5 +615,4 @@ def euler_product(t: int, depth: Exponent) -> QSeries:
 def eta_series(t: int, depth: Exponent) -> QSeries:
     """q-expansion of eta(t*tau) = q^(t/24) prod_{n>=1} (1 - q^(t*n))."""
     check_positive(multiplier=t)
-    d24 = _lattice24(depth)
-    return euler_product(t, Fraction(d24 - t, 24))._shift(t)
+    return euler_product(t, Fraction(_lattice24(depth) - t, 24))._shift(t)

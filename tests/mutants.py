@@ -55,23 +55,23 @@ NEWMAN = ("tests/test_modularity.py::"
 VANISHING_PERTURBED = ("tests/test_prover.py::"
                        "test_perturbed_identities_fail_where_the_qseries_route_does")
 VANISHING = "tests/test_prover.py::test_leading_term_equals_the_qseries_route"
-SWEEP_WORK = "tests/test_kernel.py::test_sweep_work_stops_at_the_limit"
+LIMIT = "tests/test_kernel.py::test_the_price_stops_at_the_limit"
+PRICE = "tests/test_kernel.py::test_list_price_equals_the_materialized_count"
 WIDTH = "tests/test_kernel.py::test_packed_digits_reach_the_width_bound"
 PACKED = "tests/test_kernel.py::test_packed_route_matches_the_list_sweeps"
 ROUTES = "tests/test_kernel.py::test_sweep_routes_follow_the_cost_model"
 
 MUTANTS = [
     # The list builder and its seed choice.
-    ("seed the cheapest factor", "qseries.py",
-     "_, t0, r0 = max(((_sweep_count(r)", "_, t0, r0 = min(((_sweep_count(r)",
-     [SEED]),
-    ("drop the remainder from the sweep count", "qseries.py",
-     "return sum(divmod(abs(r), 3))", "return abs(r) // 3", [SEED]),
+    ("seed the factor with the smallest price", "qseries.py",
+     "_, t0, r0 = max([(_route_cost(size, t, r)",
+     "_, t0, r0 = min([(_route_cost(size, t, r)", [SEED]),
     ("seed a factor at t = size", "qseries.py",
-     "if t < size), default=(0, 0, 0))", "if t <= size), default=(0, 0, 0))",
+     "if t < size], default=(0, 0, 0))", "if t <= size], default=(0, 0, 0))",
      [SEED]),
     ("sweep the seeded factor as well", "qseries.py",
-     "    _sweeps(a, rest)\n", "    _sweeps(a, factors)\n", EXPAND),
+     "for t, r in factors if t != t0], (t0, r0))",
+     "for t, r in factors], (t0, r0))", EXPAND),
     # The packed route of qseries._sweeps, its width and its route choice.
     ("drop the sign bit from the width", "qseries.py",
      "grow = 1  # the width", "grow = 0  # the width", [WIDTH]),
@@ -87,6 +87,11 @@ MUTANTS = [
     ("invert a quotient's route choice", "qseries.py",
      "top + grow, passes)) >= plain:", "top + grow, passes)) < plain:",
      [ROUTES]),
+    # The list price, in closed form.
+    ("price a product's cube without its |c| > 1 weight", "qseries.py",
+     "ops = (1 + (r > 0)) * cubes * cube", "ops = cubes * cube", [PRICE]),
+    ("count one pentagonal term too few", "qseries.py",
+     "J1, J2 = (root + 1) // 6", "J1, J2 = root // 6", [PRICE]),
     # Miller's recurrence, shared by the power table and QSeries powers.
     ("Miller weight n*j - k", "qseries.py",
      "s += (w * j - k) * c * vj", "s += (n * j - k) * c * vj",
@@ -104,12 +109,14 @@ MUTANTS = [
     ("accept one list past the limit", "qseries.py",
      "if size > _MAX_SIZE:", "if size > _MAX_SIZE + 1:",
      ["tests/test_kernel.py::test_dense_lists_stop_at_the_size_limit"]),
-    # The limit on the sweeps one expansion asks for, H's and G's.
-    ("accept sweep work one past the limit", "qseries.py",
-     "if work > _MAX_SWEEP_WORK:", "if work > _MAX_SWEEP_WORK + 1:",
-     [SWEEP_WORK]),
-    ("leave the U_p side's G sweeps unpriced", "prover.py",
-     "    _check_sweep_work(g, len(a))\n", "", [SWEEP_WORK]),
+    # The limit on the price of one expansion, its seed's and its sweeps'.
+    ("accept a price one past the limit", "qseries.py",
+     "if ns > _MAX_NS:", "if ns > _MAX_NS + 1:", [LIMIT]),
+    ("leave the seed's fill unpriced", "qseries.py",
+     "_check_price(factors, size, fill)", "_check_price(factors, size)",
+     [LIMIT]),
+    ("leave the sweeps unpriced, as the U_p side's G", "qseries.py",
+     "    _check_price(factors, size, fill)\n", "", [LIMIT]),
     # QSeries internals.
     ("drop the top term of an exact product", "qseries.py",
      "lim = be[-1] + 1 if t is None else t - ea",
@@ -257,9 +264,9 @@ MUTANTS = [
      "if pairs > _MAX_TERM_PAIRS:", "if pairs > _MAX_TERM_PAIRS + 1:",
      ["tests/test_etaproducts.py::"
       "test_multiplying_out_stops_at_the_term_pair_limit"]),
-    # eta_factorize's budget.
-    ("charge one sweep per factorization step", "etaproducts.py",
-     "budget -= _sweep_work(n, c, size)", "budget -= _sweep_work(n, 1, size)",
+    # eta_factorize's switch to its division.
+    ("charge a quotient strip at the product rate", "etaproducts.py",
+     "budget -= _route_cost(size, n, c)", "budget -= _route_cost(size, n, abs(c))",
      ["tests/test_factorize.py", "-k", "budget"]),
 ]
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from math import ceil, gcd, prod
+from math import ceil, gcd, isqrt, prod
 from operator import mul
 
-from etaprover import Cusp, EtaProduct, QSeries, arith, modular_function_check
+from etaprover import (Cusp, EtaCombo, EtaProduct, QSeries, arith,
+                       modular_function_check)
 from etaprover import __version__
 from etaprover.errors import NotAnEtaProductError, ParseError
 from etaprover.parser import _Token
@@ -320,6 +321,27 @@ def eta_factorize_logspace(f: QSeries, depth=None) -> EtaProduct:
     return ep
 
 
+def fricke_twin(combo: EtaCombo, level: int):
+    """The image of ``combo`` under the Fricke involution W_N, N = ``level``,
+    or None when some constant C_f below is irrational.
+
+    By eta(-1/tau) = sqrt(tau/i) eta(tau), each term a f, with
+    f = prod eta(t tau)^(r_t), every t | N and sum r_t = 0, becomes
+    a C_f f*: f* = prod eta((N/t) tau)^(r_t) and C_f = prod (N/t)^(r_t/2).
+    So ``combo`` vanishes iff its twin does, and the order of f at the cusp
+    1/c equals that of f* at 1/(N/c).
+    """
+    terms = []
+    for a, f in combo.terms:
+        assert all(level % t == 0 for t, _ in f.factors) and not f.exponent_sum
+        square = prod([Fraction(level // t) ** r for t, r in f.factors])
+        root = Fraction(isqrt(square.numerator), isqrt(square.denominator))
+        if root * root != square:
+            return None
+        terms.append((a * root, EtaProduct([(level // t, r) for t, r in f.factors])))
+    return EtaCombo(combo.constant, terms)
+
+
 # -- reference kernels ------------------------------------------------------------
 
 
@@ -346,6 +368,19 @@ def euler_sweep_scalar(a: list, t: int, r: int) -> None:
                         break
                     s += c * a[n - e]
                 a[n] += s
+
+
+def route_cost_materialized(size: int, t: int, r: int, bits: int = 0) -> float:
+    """The list side of the library's earlier ``_route_cost``, kept as the
+    reference for its closed-form price: every term operation counted on the
+    materialized sweeps, size - e for each term c q^e of each sweep of
+    ``_sweep_terms``, twice for a product's |c| > 1, at 50 ns for a product
+    and 100 for a quotient, 2% more per 10 bits."""
+    from etaprover.qseries import _sweep_terms
+
+    ops = sum([(size - e) * (1 + (r > 0 and c * c > 1))
+               for s in _sweep_terms(t, r, size) for e, c in s])
+    return (50 if r > 0 else 100) * (1 + bits / 500) * ops
 
 
 def miller_pow_inverse_branch(terms: list, n: int, size: int) -> list:

@@ -407,13 +407,17 @@ def test_usage_error_exit_code(capsys):
     ["prove", str(RAMANUJAN), "--level", str(9699690 ** 2), "--yes"],
     ["expand", "(eta(1)+eta(2)+eta(3)+eta(4))^40", "--depth", "5"],
     ["expand", "[1,6000000000,2,-3000000000]", "--depth", "10"],
+    ["expand", "[1,1]", "--depth", "1000000"],
+    ["expand", "[1,-1]", "--depth", "200000"],
+    ["factor", "[1,1]", "--depth", "1000000"],
 ], ids=["non-utf8-file", "5000-digit-literal", "superscript-digit",
         "5000-parentheses", "5000-parentheses-in-let",
         "raw-character-of-2.4e11-bits", "raw-character-of-3^67108848",
         "raw-character-of-3^42000000", "raw-character-of-4306-digits",
         "34836480-cusp-classes",
         "prove-at-34836480-cusp-classes",
-        "938961-term-pairs", "10^9-sweeps"])
+        "938961-term-pairs", "10^9-sweeps", "seed-fill-of-10^6",
+        "quotient-seed-fill-of-200000", "factor-seed-fill-of-10^6"])
 def test_rejected_input_is_one_error_line_and_exit_3(argv, tmp_path, capsys):
     latin1 = tmp_path / "latin1.eta"
     latin1.write_bytes("eta(1) - 1  # caf\u00e9\n".encode("latin-1"))

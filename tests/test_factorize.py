@@ -5,11 +5,15 @@ the log-derivative division only past a cost budget; the reference
 ``oracles.eta_factorize_logspace`` runs every step in log space.  Both must
 return the same eta-product or raise the same error text, on true products,
 perturbed and shifted ones, the malformed cases, and inputs that pass the
-budget at the first step or only after some sweeps.
+budget at the first step or only after some sweeps.  Every input is also
+factored with the division forced from the first step, and every true
+eta-product with the sweeps forced to the end.
 """
 
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +31,10 @@ settings.register_profile("factorize", max_examples=80, deadline=None,
 settings.load_profile("factorize")
 
 
+# The division's price replaced: 0 switches at the first step, inf never.
+FORCE = {"division": lambda size: 0.0, "sweeps": lambda size: math.inf}
+
+
 def outcome(fn, series, depth=None):
     try:
         return str(fn(series, depth))
@@ -34,9 +42,15 @@ def outcome(fn, series, depth=None):
         return f"error: {exc}"
 
 
-def assert_same(series, depth=None):
+def assert_same(series, depth=None, product=False):
+    """The reference's outcome, which ``eta_factorize`` must give on its
+    chosen route, with the division forced and, for a true eta-product, with
+    the sweeps forced."""
     got = outcome(eta_factorize, series, depth)
     assert got == outcome(eta_factorize_logspace, series, depth)
+    for route in ["division", "sweeps"][:1 + product]:
+        with mock.patch.object(etaproducts, "_division_cost", FORCE[route]):
+            assert outcome(eta_factorize, series, depth) == got, route
     return got
 
 
@@ -61,7 +75,7 @@ depths = st.integers(24, 24 * 120)
 @given(products, depths)
 def test_true_products_match(ep, extra):
     depth = ep.leading_exponent + F(extra, 24)
-    assert_same(ep.expand(depth), depth)
+    assert_same(ep.expand(depth), depth, product=True)
 
 
 @given(products, st.integers(48, 24 * 120), st.data())
@@ -103,6 +117,12 @@ def test_budget_passed_at_the_first_step(monkeypatch):
     assert steps == []
 
 
+# The steps swept before the division, as the strips' prices reach a quarter
+# of the division's: at the product rate, the quotient strip (3, -2) of the
+# level-12 product would stay within it.
+SWEPT = {50: [1, 2, 25], 12: [1]}
+
+
 @pytest.mark.parametrize("flat", [[50, -1, 25, 1, 2, 1, 1, -1],
                                   [12, 2, 6, -1, 4, -1, 3, 2, 1, 1]])
 def test_budget_passed_after_some_sweeps(flat, monkeypatch):
@@ -112,7 +132,7 @@ def test_budget_passed_after_some_sweeps(flat, monkeypatch):
     steps = swept_steps(monkeypatch)
     assert assert_same(series, depth).startswith(
         "error: unexplained term at q^101 beyond the confidence bound q^100")
-    assert steps and max(steps) < 37
+    assert steps == SWEPT[flat[0]]
 
 
 @pytest.mark.parametrize("expr, depth", [
@@ -123,4 +143,5 @@ def test_budget_passed_after_some_sweeps(flat, monkeypatch):
     ("[100,-3,50,5,25,-2,10,-8,5,4,4,3,2,3,1,-2]", 400),
 ])
 def test_worst_case_inputs_match(expr, depth):
-    assert_same(parse_expression(expr).expand(depth), depth)
+    assert_same(parse_expression(expr).expand(depth), depth,
+                product=not expr.count("+"))

@@ -22,11 +22,12 @@ from etaprover import EtaCombo, EtaProduct, QSeries, eta_factorize, euler_produc
 from etaprover.errors import NotAnEtaProductError
 from etaprover import prover, qseries
 from etaprover.qseries import (_POWERS, _euler_power, _euler_sweep, _jacobi_cube,
-                               _pentagonal)
+                               _pentagonal, _sweeps)
 from etaprover.prover import _up_expansion
 
 from oracles import (eta_quotient_brute, euler_brute, euler_sweep_scalar,
-                     miller_pow_inverse_branch, pdiv, pmul, ppow)
+                     miller_pow_inverse_branch, pdiv, pmul, ppow,
+                     route_cost_materialized)
 
 F = Fraction
 
@@ -473,30 +474,64 @@ def test_dense_lists_stop_at_the_size_limit():
             build(limit + 1)
 
 
-def test_sweep_work_stops_at_the_limit(monkeypatch):
-    # (1, 10) is read from the table; (2, -5) sweeps 3 times over 50
-    # coefficients with isqrt(2*50/2) = 7 terms; in U_5 of [10,-5,1,50] it is
-    # the one G factor, swept over the sliced list of 50 coefficients
-    assert qseries._sweep_work(2, -5, 50) == 3 * 50 * 7
+@given(st.integers(1, 12), st.integers(-30, 30).filter(bool),
+       st.integers(0, 400), st.integers(0, 300))
+@example(1, 3, 400, 0)  # Jacobi's cube, whose terms count twice in a product
+@example(12, -30, 12, 0)  # t = size: no term
+def test_list_price_equals_the_materialized_count(t, r, size, bits):
+    assert qseries._route_cost(size, t, r, bits) == \
+        route_cost_materialized(size, t, r, bits)
+    count = qseries._sweep_ops(t, size)[2]
+    assert count == max(len(_pentagonal(-(-size // t))) - 1, 0)
+
+
+def test_the_price_stops_at_the_limit(monkeypatch):
+    # (1, 10) is the seed: Miller fills its entry of 50 coefficients over the
+    # 10 pentagonal terms below q^50, at 100 ns each.  (2, -5) is one cube and
+    # two Euler sweeps at t = 2, at 100 ns per term operation: sum(50 - e) is
+    # 188 over the cube's e = 2, 6, ..., 42 and 222 over Euler's e = 2, 4, ...,
+    # 44.  In U_5 of [10,-5,1,50], H = (1, 50) is the seed of a list of 246,
+    # with 24 pentagonal terms below it, and G = (2, -5) sweeps the sliced list
+    # of 50 coefficients: the larger of the two prices is the binding one.
+    # In U_5 of [10,-5,5,10] H is empty and G's sweeps are the whole price,
+    # (1, 10) adding 3 cube sweeps of 2 * 285 and an Euler sweep of 335
+    assert qseries._route_cost(50, 2, -5) == 100 * (188 + 2 * 222)
     ep = EtaProduct.from_flat([10, -5, 1, 50])
-    builds = [lambda: qseries._product_list(((2, -5), (1, 10)), 50),
-              lambda: _up_expansion(ep, 5, 50)[1]]
-    want = [build() for build in builds]
-    message = "would take about 1050 term operations, past the limit of 1049$"
-    for build, a in zip(builds, want):
-        monkeypatch.setattr(qseries, "_MAX_SWEEP_WORK", 1050)
+    g_only = EtaProduct.from_flat([10, -5, 5, 10])
+    builds = [(lambda: qseries._product_list(((2, -5), (1, 10)), 50),
+               100 * 50 * 10 + 100 * (188 + 2 * 222)),
+              (lambda: _up_expansion(ep, 5, 50)[1], 100 * 246 * 24),
+              (lambda: _up_expansion(g_only, 5, 50)[1],
+               100 * (188 + 2 * 222) + 50 * (3 * 2 * 285 + 335))]
+    want = [build() for build, _ in builds]
+    for (build, price), a in zip(builds, want):
+        monkeypatch.setattr(qseries, "_MAX_NS", price)
         assert build() == a
-        monkeypatch.setattr(qseries, "_MAX_SWEEP_WORK", 1049)
-        with pytest.raises(ValueError, match=message):
+        monkeypatch.setattr(qseries, "_MAX_NS", price - 1)
+        with pytest.raises(ValueError, match=f"would take about {price} ns, "
+                           f"past the limit of {price - 1} ns$"):
             build()
     monkeypatch.undo()
-    # 10^9 sweeps at t = 2 are refused before any (a huge exponent past the
-    # depth is not counted: test_huge_exponent_past_the_depth_costs_nothing)
-    with pytest.raises(ValueError, match="about 30000000000 term operations"):
+    # 10^9 cube sweeps at t = 2, of 10 - 2 + 10 - 6 operations each, are
+    # refused before any, with the fill of the seed (1, 6*10^9) below q^10
+    # (a huge exponent past the depth is not counted:
+    # test_huge_exponent_past_the_depth_costs_nothing)
+    with pytest.raises(ValueError, match="about 1200000004000 ns"):
         qseries._product_list(((2, -3 * 10 ** 9), (1, 6 * 10 ** 9)), 10)
-    with pytest.raises(ValueError, match="past the limit of 33554432$"):
+    with pytest.raises(ValueError, match="past the limit of 3355443200 ns$"):
         _up_expansion(EtaProduct.from_flat([10, -3 * 10 ** 9, 5, 6 * 10 ** 9]),
                       5, 10)
+
+
+def test_a_seed_is_priced_whether_or_not_the_table_holds_it(monkeypatch):
+    # 100 ns x 300 coefficients x the 27 pentagonal terms below q^300
+    build = lambda: qseries._product_list(((1, -7),), 300)  # noqa: E731
+    monkeypatch.setattr(qseries, "_MAX_NS", 100 * 300 * 27 - 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="about 810000 ns"):
+            build()
+        _euler_power(-7, 300)
+    assert -7 in _POWERS
 
 
 def test_returned_lists_are_not_the_stored_ones():
@@ -546,7 +581,7 @@ def test_import_fills_no_table():
 
 U20_LHS = [100, -3, 50, 5, 25, -2, 10, -8, 5, 4, 4, 3, 2, 3, 1, -2]
 SEED_CASES = [  # (kind, flat product, depth[, p]) -> _euler_power calls
-    (("expand", [6, -2, 3, -2, 2, 2, 1, 2], 382), [(2, 383)]),
+    (("expand", [6, -2, 3, -2, 2, 2, 1, 2], 382), [(-2, 128)]),
     (("expand", [6, 2, 3, 2, 2, -2, 1, -2], 382), [(-2, 382)]),
     (("expand", [6, -6, 3, 6, 2, 6, 1, -6], 382), [(-6, 383)]),
     (("expand", [6, 6, 3, -6, 2, -6, 1, 6], 382), [(6, 382)]),
@@ -561,9 +596,10 @@ SEED_CASES = [  # (kind, flat product, depth[, p]) -> _euler_power calls
     (("up", [25, 1, 1, -1], 5, 401), [(-1, 2000)]),
     (("up", [49, 1, 1, -1], 7, 301), [(-1, 2099)]),
     (("up", U20_LHS, 5, 106), [(-2, 532)]),
-    (("bare", [4, 2, 1, 1], 30), [(2, 8)]),
+    (("bare", [4, 2, 1, 1], 30), [(1, 30)]),
+    (("bare", [3, 2, 1, 1], 30), [(2, 10)]),
     (("bare", [5, 10, 1, 1], 3), [(1, 3)]),
-    (("bare", [9, 3, 4, 2, 1, 1], 40), [(2, 10)]),
+    (("bare", [9, 3, 4, 2, 1, 1], 40), [(1, 40)]),
     (("bare", [1, -7], 1), []),
     (("bare", [2, 5], 2), []),
     (("bare", [3, -9], 0), []),
@@ -571,9 +607,9 @@ SEED_CASES = [  # (kind, flat product, depth[, p]) -> _euler_power calls
 RANDOM_SEEDS = [  # the one call of each random product, None for none
     (-10, 6), (-5, 5), (-4, 2), (-11, 2), (-10, 4), (-6, 4), None, (-9, 80),
     (-11, 3), None, (11, 33), (4, 9), (11, 73), (-12, 10), (1, 12), (-12, 24),
-    (-10, 4), (10, 3), (-7, 7), (9, 16), (-11, 115), (-11, 20), (-9, 6), (-8, 23),
+    (-5, 6), (10, 3), (-7, 7), (9, 16), (-11, 115), (-11, 20), (-9, 6), (-8, 23),
     None, (8, 6), (-11, 4), (8, 5), (-2, 29), (-8, 13), (-4, 20), (6, 52), (5, 18),
-    (7, 45), (10, 96), (8, 10), (-8, 5), (11, 7), (7, 20), (-9, 6),
+    (7, 45), (10, 96), (8, 10), (-6, 16), (11, 7), (7, 20), (-9, 6),
 ]
 
 
@@ -587,19 +623,21 @@ def random_seed_cases(count=40):
 
 
 def table_requests(case, monkeypatch) -> list:
-    """The table requests made outside ``_sweeps``, that is the seed's alone:
-    a quotient on the packed route reads its entry inside ``_sweeps``."""
-    calls, inside, sweeps = [], [], qseries._sweeps
+    """The table requests of the seed alone.  ``_sweeps`` reads its seed's
+    entry, and a packed quotient's, so the spy runs it on the seed alone,
+    recording, then on the factors."""
+    calls, muted = [], []
 
     def power(r, size):
-        if not inside:
+        if not muted:
             calls.append((r, size))
         return _euler_power(r, size)
 
-    def spy(a, factors):
-        inside.append(factors)
-        sweeps(a, factors)
-        inside.pop()
+    def spy(a, factors, seed=(0, 0)):
+        _sweeps(a, [], seed)
+        muted.append(factors)
+        _sweeps(a, factors)
+        muted.pop()
 
     monkeypatch.setattr(qseries, "_euler_power", power)
     for owner in (qseries, prover):
@@ -616,8 +654,9 @@ def table_requests(case, monkeypatch) -> list:
 
 
 def test_expansions_seed_the_same_factors(monkeypatch):
-    # deep-workload products, u20 terms and U_p left-hand sides, ties of the
-    # cost rule ([4,2,1,1]), factors at t >= size, and empty lists
+    # deep-workload products, u20 terms and U_p left-hand sides, a tie of the
+    # list price ([3,2,1,1], the larger t seeds), factors at t >= size, and
+    # empty lists
     for case, want in SEED_CASES:
         assert table_requests(case, monkeypatch) == want, case
     got = [table_requests(case, monkeypatch) for case in random_seed_cases()]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from math import log10
+from math import ceil, log10
 from typing import Optional
 
 from . import __version__
@@ -26,7 +26,7 @@ from .errors import (
     NotAnEtaProductError,
     PreconditionError,
 )
-from .etaproducts import EtaProduct, eta_factorize
+from .etaproducts import EtaProduct, _factor_list, eta_factorize
 from .modularity import (
     _character_bits, _require_form, modular_function_check, modular_form_check)
 from .parser import UpIdentity, parse_expression, parse_program
@@ -39,6 +39,7 @@ from .prover import (
 )
 # bench/tracing.py wraps this name here:
 from .prover import normalize_identity  # noqa: F401
+from .qseries import _product_list
 from .up import prove_up_identity
 
 # exit code and verdict line of each verdict
@@ -131,9 +132,16 @@ def _cmd_expand(args) -> int:
 
 def _cmd_factor(args) -> int:
     combo = parse_expression(args.expr)
-    series = combo.expand(args.depth)
+    product = combo.as_product()
     try:
-        ep = eta_factorize(series, args.depth)
+        if product is None:
+            ep = eta_factorize(combo.expand(args.depth), args.depth)
+        else:  # the kernel's list, with no QSeries between
+            rel_depth = args.depth - product.leading_exponent
+            a = _product_list(product.factors, max(0, ceil(rel_depth)))
+            if not a:
+                raise NotAnEtaProductError("series is zero up to its truncation")
+            ep = _factor_list(a, product.leading_exponent, rel_depth)
     except NotAnEtaProductError as exc:
         print(f"not an eta-product: {exc}", file=sys.stderr)
         return 2

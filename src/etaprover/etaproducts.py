@@ -15,8 +15,9 @@ from operator import mul
 from typing import Iterable, Optional, Union
 
 from .errors import NotAnEtaProductError
-from .qseries import (QSeries, _division_cost, _euler_sweep, _lattice24,
-                      _product_list, _route_cost, _sweeps, _unit_list)
+from .qseries import (QSeries, _check_price, _division_cost, _euler_sweep,
+                      _lattice24, _product_list, _route_cost, _sweeps,
+                      _unit_list)
 
 __all__ = ["EtaProduct", "EtaCombo", "eta_factorize"]
 
@@ -296,21 +297,11 @@ class EtaCombo:
 def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
     """Recognize a q-series as an eta-product by greedy factor stripping.
 
-    Strips the leading q-power, then repeatedly reads the lowest nonzero
-    non-constant coefficient c at exponent n of the residual
-    u = 1 + c*q^n + ..., records the factor eta(n*tau)^(-c) and divides it
-    out of u by Euler sweeps (``_euler_sweep``).  Factors are only trusted up
-    to half the available relative depth; anything left beyond that bound, a
-    non-integer step coefficient, or a leading power inconsistent with the
-    recovered factors raises :class:`NotAnEtaProductError`.
-
-    A sweep step's price grows with |c|, and c grows exponentially in n when
-    f is not an eta-product.  Once the steps' prices would pass a quarter of
-    the division's (``qseries._route_cost`` and ``_division_cost``), the rest
-    runs on b = q*u'/u, computed once by that O(L^2) division.  There
-    b starts with n*c*q^n, and dividing the factor out subtracts c*d from b
-    at every multiple of each d in n, 2n, ..., so a step costs about L/n
-    however large c is.
+    Strips the leading q-power q^e0, then :func:`_factor_list` strips u, the
+    rest.  Factors are only trusted up to half the available relative depth;
+    anything left beyond that bound, a non-integer step coefficient, or a
+    leading power inconsistent with the recovered factors raises
+    :class:`NotAnEtaProductError`; a run priced past ``_MAX_NS``, ValueError.
     """
     if depth is None:
         if f.trunc is None:
@@ -325,20 +316,32 @@ def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
     e0 = lt.exponent
     rel_depth = Fraction(depth) - e0
     u = f.shifted(-e0).truncated(rel_depth)
-    confidence = int(rel_depth) // 2
-    size = max(0, ceil(u.trunc))
-    a = _unit_list(size)  # u as a dense list
+    a = _unit_list(max(0, ceil(u.trunc)))  # u as a dense list
     for e, c in zip(u._e, u._c):
         if e % 24:
             raise NotAnEtaProductError(
                 f"residual exponent q^{Fraction(e, 24)} off the integer lattice")
         a[e // 24] = c
-    integral = all([type(c) is int for c in u._c])
-    budget = _division_cost(size) / 4
-    b = None  # q*u'/u, once the sweeps have passed their budget
-    factors: list[tuple[int, int]] = []
+    return _factor_list(a, e0, rel_depth)
+
+
+def _factor_list(w: list, e0, rel_depth) -> EtaProduct:
+    """The eta-product of q^e0 u below q^(e0 + rel_depth), u = 1 + O(q) the
+    dense list ``w``, by product sweeps only.  The residual r = w/D, D =
+    1 + O(q) the product of the inverses of the strips with c < 0, so a
+    step's c = w[n] - D[n] at the first n where they differ; it sweeps w by
+    (n, c) or D by (n, -c), D's first read from the power table.  Once the
+    strips' list prices would pass half of ``_division_cost`` (c grows
+    exponentially in n for a non-eta-product), b = q r'/r is the O(L^2)
+    division q w'/w less D's log-derivative, and a step subtracts c*d from b
+    at every multiple of each d in n, 2n, ..., about L/n however large c is.
+    Each strip and the division are priced, with the strips before them,
+    against ``_MAX_NS``."""
+    size, confidence = len(w), int(rel_depth) // 2
+    integral = all([type(c) is int for c in w])
+    den, b, logs, factors, spent = _unit_list(size), None, [], [], 0  # den: D
     for n in range(1, size):
-        c = a[n] if b is None else Fraction(b[n], n)
+        c = w[n] - den[n] if b is None else Fraction(b[n], n)
         if not c:
             continue
         if c.denominator != 1:
@@ -352,19 +355,30 @@ def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
         c = c.numerator
         factors.append((n, -c))
         if b is None:
-            budget -= _route_cost(size, n, c)
-            if budget >= 0:
-                if c > 0 and integral:  # a product strip may run packed
-                    _sweeps(a, [(n, c)])
-                else:
-                    _euler_sweep(a, n, c)
+            price = _route_cost(size, n, abs(c))
+            strip = spent + price <= _division_cost(size) / 2  # else divide
+            _check_price([], size, 0,
+                         spent + (price if strip else _division_cost(size)))
+            spent += price
+            if strip:
+                if c > 0 and not integral:  # Fractions stay on the list
+                    _euler_sweep(w, n, c)
+                elif c > 0:
+                    _sweeps(w, [(n, c)])
+                elif any(r > 0 for _, r in factors[:-1]):
+                    _sweeps(den, [(n, -c)])
+                else:  # D's first strip, read from the power table
+                    _sweeps(den, [], (n, -c))
                 continue
-            b = [0] * size  # from m*a[m] = sum_{k=1..m} b[k]*a[m-k]
-            for m in range(n, size):
-                b[m] = m * a[m] - sum(map(mul, b, a[m::-1]))
-        for d in range(n, size, n):
-            for m in range(d, size, d):
-                b[m] -= c * d
+            b = [0] * size  # from m*w[m] = sum_{k=1..m} b[k]*w[m-k]
+            for m in range(1, size):
+                b[m] = m * w[m] - sum(map(mul, b, w[m::-1]))
+            logs = [f for f in factors[:-1] if f[1] > 0]  # D's, taken off
+        for t, r in logs + factors[-1:]:  # each factor's log-derivative
+            for d in range(t, size, t):
+                for m in range(d, size, d):
+                    b[m] += r * d
+        logs = []
     ep = EtaProduct(factors)
     if ep.leading_exponent != e0:
         raise NotAnEtaProductError(

@@ -264,12 +264,16 @@ def _not_applicable(level: int, reason: str, *, up_p=None) -> ProofReport:
         required_depth=0, checked_depth=-1, up_p=up_p, reason=reason)
 
 
-def _parts(combo: EtaCombo, depth: int) -> list:
-    """``combo`` below q^depth as parts, each term's s = sum(t*r)/24 whole."""
-    parts = [(combo.constant, 0, [1])] if combo.constant else []
-    for a, f in combo.terms:
-        s = f.degree24 // 24
-        parts.append((a, s, _product_list(f.factors, depth - s)))
+def _parts(combo: EtaCombo, depth: int, den=None) -> list:
+    """``combo`` below q^depth as parts, each term's s = sum(t*r)/24 whole
+    and the constant taken as the empty product's coefficient, with each
+    product's Euler part over that of prod eta(t)^m for the (t, m) in the
+    dict ``den``: that is 1 + O(q), so the sum leads as ``combo`` does."""
+    den, parts = den or {}, []
+    for a, f in [(combo.constant, EtaProduct())] * bool(combo.constant) + list(combo.terms):
+        s, r = f.degree24 // 24, dict(f.factors)
+        fs = [(t, r.get(t, 0) - den.get(t, 0)) for t in {*r, *den}]
+        parts.append((a, s, _product_list([(t, k) for t, k in fs if k], depth - s)))
     return parts
 
 
@@ -290,9 +294,13 @@ def _up_expansion(ep: EtaProduct, p: int, depth: int) -> tuple[int, list]:
 
 def _vanishing_parts(combo: EtaCombo, depth: int, up=None) -> list:
     """The parts below q^depth of the series a proof checks for vanishing:
-    ``combo``, or with ``up = (ep, p)`` U_p ep minus ``combo``."""
+    ``combo`` over prod eta(t)^(m_t), m_t the least exponent of eta(t) over
+    its terms, 0 for a term without eta(t) and for the constant, so that each
+    part is a pure product; or with ``up = (ep, p)`` U_p ep minus ``combo``."""
     if up is None:
-        return _parts(combo, depth)
+        rows = [dict(f.factors) for _, f in combo.terms] + [{}] * bool(combo.constant)
+        return _parts(combo, depth, {t: min([row.get(t, 0) for row in rows])
+                                     for t in set().union(*rows)})
     return [(1, *_up_expansion(*up, depth))] + _parts(-combo, depth)
 
 

@@ -499,12 +499,13 @@ def _division_cost(size: int) -> float:
     return _DIVISION_NS * size * size / 2
 
 
-def _check_price(factors, size: int, fill: int = 0) -> None:
-    """Raise ValueError, before any work, when the list price of the factors
-    (t, r) on a list of ``size``, plus Miller's fill of an entry of ``fill``
-    (fill x its pentagonal terms at the quotient rate) passes ``_MAX_NS``."""
-    ns = sum([_route_cost(size, t, r) for t, r in factors],
-             100 * fill * _sweep_ops(1, fill)[2])
+def _check_price(factors, size: int, fill: int = 0, ns: float = 0) -> None:
+    """Raise ValueError, before any work, when ``ns`` plus the list price of
+    the factors (t, r) on a list of ``size`` and Miller's fill of an entry
+    of ``fill`` (fill x its pentagonal terms at the quotient rate) passes
+    ``_MAX_NS``."""
+    ns += sum([_route_cost(size, t, r) for t, r in factors],
+              100 * fill * _sweep_ops(1, fill)[2])
     if ns > _MAX_NS:
         raise ValueError(f"this expansion would take about {ns:.0f} ns, "
                          f"past the limit of {_MAX_NS:.0f} ns")

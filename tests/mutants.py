@@ -60,6 +60,12 @@ PRICE = "tests/test_kernel.py::test_list_price_equals_the_materialized_count"
 WIDTH = "tests/test_kernel.py::test_packed_digits_reach_the_width_bound"
 PACKED = "tests/test_kernel.py::test_packed_route_matches_the_list_sweeps"
 ROUTES = "tests/test_kernel.py::test_sweep_routes_follow_the_cost_model"
+FACTOR_SPY = ("tests/test_factorize.py::"
+              "test_deep_products_strip_by_product_sweeps_only")
+FACTOR_PRICE = ("tests/test_factorize.py::"
+                "test_strips_and_division_are_priced_against_the_limit")
+COMMON = ("tests/test_prover.py::"
+          "test_common_denominator_leads_as_the_qseries_route")
 
 MUTANTS = [
     # The list builder and its seed choice.
@@ -264,10 +270,32 @@ MUTANTS = [
      "if pairs > _MAX_TERM_PAIRS:", "if pairs > _MAX_TERM_PAIRS + 1:",
      ["tests/test_etaproducts.py::"
       "test_multiplying_out_stops_at_the_term_pair_limit"]),
-    # eta_factorize's switch to its division.
-    ("charge a quotient strip at the product rate", "etaproducts.py",
-     "budget -= _route_cost(size, n, c)", "budget -= _route_cost(size, n, abs(c))",
-     ["tests/test_factorize.py", "-k", "budget"]),
+    # The factorizer's two lists, its switch to the division and its price.
+    ("strip a step with c < 0 from w by a quotient sweep", "etaproducts.py",
+     "                elif c > 0:\n                    _sweeps(w, [(n, c)])",
+     "                elif True:\n                    _sweeps(w, [(n, c)])",
+     [FACTOR_SPY]),
+    ("leave D's log-derivative out at the switch", "etaproducts.py",
+     "logs = [f for f in factors[:-1] if f[1] > 0]", "logs = []",
+     ["tests/test_factorize.py", "-k", "after_some"]),
+    ("let the strips reach a quarter of the division", "etaproducts.py",
+     "spent + price <= _division_cost(size) / 2",
+     "spent + price <= _division_cost(size) / 4",
+     [FACTOR_SPY]),
+    ("leave the division unpriced against the limit", "etaproducts.py",
+     "(price if strip else _division_cost(size))", "(price if strip else 0)",
+     [FACTOR_PRICE]),
+    ("price a strip without the strips before it", "etaproducts.py",
+     "spent + (price if strip", "0 + (price if strip", [FACTOR_PRICE]),
+    ("build factor's list one coefficient short", "cli.py",
+     "max(0, ceil(rel_depth))", "max(0, ceil(rel_depth) - 1)",
+     ["tests/test_cli.py::test_factor_of_a_product_prints_as_the_qseries_route"]),
+    # The linear proofs' common eta-denominator.
+    ("take m_t without the constant's 0", "prover.py",
+     " + [{}] * bool(combo.constant)", "", [COMMON]),
+    ("take m_t over the terms that hold eta(t) only", "prover.py",
+     "min([row.get(t, 0) for row in rows])",
+     "min([row[t] for row in rows if t in row])", [COMMON]),
 ]
 
 

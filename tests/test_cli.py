@@ -4,16 +4,21 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etaprover import cli
+from etaprover import cli, eta_factorize, parse_expression
 from etaprover.cli import main
+from etaprover.errors import NotAnEtaProductError
+
+from oracles import random_eta_product
 
 REPO = Path(__file__).resolve().parent.parent
 RAMANUJAN = REPO / "identities" / "ramanujan_pq.eta"
@@ -428,6 +433,51 @@ def test_rejected_input_is_one_error_line_and_exit_3(argv, tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_factor_run_past_the_limit_is_refused_quickly():
+    # the strips of a non-eta-product reach the limit long before its
+    # division, priced at 100 ns x 30000^2 / 2 = 45 s, would start
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "etaprover", "factor", "[24,1]+[48,1]",
+         "--depth", "30000"], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))))
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: this expansion would take about ")
+
+
+def test_factor_within_the_limit_still_finds_a_non_eta_product(capsys):
+    code, out, err = run(capsys, "factor", "[24,1]+[48,1]", "--depth", "4000")
+    assert (code, out) == (2, "")
+    assert err.startswith("not an eta-product: unexplained term at q^2000 "
+                          "beyond the confidence bound q^1999; confirmed "
+                          "factors so far: [1999,")
+
+
+def _factor_by_series(expr: str, depth: int):
+    """``factor``'s exit code, stdout and stderr by the QSeries route."""
+    try:
+        ep = eta_factorize(parse_expression(expr).expand(depth), depth)
+    except NotAnEtaProductError as exc:
+        return 2, "", f"not an eta-product: {exc}\n"
+    return 0, f"{ep}\n{ep.eta_string()}\n", ""
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.builds(lambda seed: random_eta_product(random.Random(seed)),
+                 st.integers(0, 2**32)), st.integers(1, 60))
+def test_factor_of_a_product_prints_as_the_qseries_route(ep, depth):
+    # a product's list goes from the kernel to the factorizer; depths at or
+    # below the leading power leave it empty
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["factor", str(ep), "--depth", str(depth)])
+    assert (code, out.getvalue(), err.getvalue()) == \
+        _factor_by_series(str(ep), depth)
 
 
 # Grammar tokens plus characters that are letters, digits of other scripts or

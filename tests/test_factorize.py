@@ -1,7 +1,9 @@
 """``eta_factorize`` against the log-space reference.
 
-The library strips factors off the residual by Euler sweeps and switches to
-the log-derivative division only past a cost budget; the reference
+The library strips factors off the residual by product sweeps of two lists,
+u times the strips with c > 0 and the product D of the inverses of the others,
+and switches to the log-derivative division only past a cost budget; the
+reference
 ``oracles.eta_factorize_logspace`` runs every step in log space.  Both must
 return the same eta-product or raise the same error text, on true products,
 perturbed and shifted ones, the malformed cases, and inputs that pass the
@@ -10,6 +12,7 @@ factored with the division forced from the first step, and every true
 eta-product with the sweeps forced to the end.
 """
 
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -19,7 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import etaprover.etaproducts as etaproducts
-from etaprover import EtaProduct, QSeries, eta_factorize, parse_expression
+import etaprover.qseries as qseries
+from etaprover import EtaProduct, QSeries, cli, eta_factorize, parse_expression
 from etaprover.errors import NotAnEtaProductError
 
 from oracles import eta_factorize_logspace, random_eta_product
@@ -54,16 +58,32 @@ def assert_same(series, depth=None, product=False):
     return got
 
 
-def swept_steps(monkeypatch):
-    """Record the exponent n of every sweep ``eta_factorize`` makes, on the
-    list or, for a product strip, through ``_sweeps``."""
-    steps = []
-    sweep, sweeps = etaproducts._euler_sweep, etaproducts._sweeps
-    monkeypatch.setattr(etaproducts, "_euler_sweep",
-                        lambda a, n, c: (steps.append(n), sweep(a, n, c)))
-    monkeypatch.setattr(etaproducts, "_sweeps", lambda a, fs: (
-        steps.extend([n for n, _ in fs]), sweeps(a, fs)))
-    return steps
+@contextlib.contextmanager
+def swept_steps():
+    """Yield (strips, quotients), filled while active: strips gets (n, r) for
+    each factor eta(n)^r that ``eta_factorize`` strips by a sweep, with
+    r < 0 for a product sweep of u's list w and r > 0 for one of D, the
+    product of the inverses of the strips with c < 0, whose first strip is
+    the seed of ``_sweeps``; quotients gets each quotient sweep made,
+    through ``_sweeps`` or on the list by ``qseries._euler_sweep``."""
+    strips, quotients, dens = [], [], []
+    sweeps, sweep = etaproducts._sweeps, qseries._euler_sweep
+
+    def spy_sweeps(a, fs, seed=(0, 0)):
+        dens.extend([a][:bool(seed[0])])
+        batch = [seed][:bool(seed[0])] + list(fs)
+        quotients.extend([f for f in batch if f[1] < 0])
+        on_d = any(a is d for d in dens)
+        strips.extend([(n, r if on_d else -r) for n, r in batch])
+        sweeps(a, fs, seed)
+
+    def spy_sweep(a, t, r):
+        quotients.extend([(t, r)][:r < 0])
+        sweep(a, t, r)
+
+    with mock.patch.object(etaproducts, "_sweeps", spy_sweeps), \
+            mock.patch.object(qseries, "_euler_sweep", spy_sweep):
+        yield strips, quotients
 
 
 products = st.builds(lambda seed: random_eta_product(random.Random(seed)),
@@ -75,7 +95,10 @@ depths = st.integers(24, 24 * 120)
 @given(products, depths)
 def test_true_products_match(ep, extra):
     depth = ep.leading_exponent + F(extra, 24)
-    assert_same(ep.expand(depth), depth, product=True)
+    series = ep.expand(depth)
+    with swept_steps() as (_, quotients):
+        assert_same(series, depth, product=True)
+    assert quotients == []  # every strip is a product sweep, on any route
 
 
 @given(products, st.integers(48, 24 * 120), st.data())
@@ -110,29 +133,57 @@ def test_zero_and_off_lattice_series_match():
         "error: residual exponent q^1/24 off the integer lattice"
 
 
-def test_budget_passed_at_the_first_step(monkeypatch):
+def test_budget_passed_at_the_first_step():
     series = EtaProduct.from_flat([1, 24]).expand(300)
-    steps = swept_steps(monkeypatch)
-    assert assert_same(series, 300) == "[1,24]"
+    with swept_steps() as (steps, _):
+        assert assert_same(series, 300) == "[1,24]"
     assert steps == []
 
 
-# The steps swept before the division, as the strips' prices reach a quarter
-# of the division's: at the product rate, the quotient strip (3, -2) of the
-# level-12 product would stay within it.
-SWEPT = {50: [1, 2, 25], 12: [1]}
+# The strips (n, r) made before the division, as the strips' list prices reach
+# half of the division's: every factor below the perturbation at q^37, so the
+# division takes the log-derivative of D = (q^2;q^2)(q^25;q^25) and of
+# (q;q)(q^3;q^3)^2 (q^12;q^12)^2 off that of w.
+SWEPT = {50: [(1, -1), (2, 1), (25, 1)],
+         12: [(1, 1), (3, 2), (4, -1), (6, -1), (12, 2)]}
 
 
 @pytest.mark.parametrize("flat", [[50, -1, 25, 1, 2, 1, 1, -1],
                                   [12, 2, 6, -1, 4, -1, 3, 2, 1, 1]])
-def test_budget_passed_after_some_sweeps(flat, monkeypatch):
+def test_budget_passed_after_some_sweeps(flat):
     ep = EtaProduct.from_flat(flat)
     depth = ep.leading_exponent + 200
     series = ep.expand(depth) + QSeries.monomial(10**6, ep.leading_exponent + 37)
-    steps = swept_steps(monkeypatch)
-    assert assert_same(series, depth).startswith(
+    with swept_steps() as (steps, quotients):
+        got = outcome(eta_factorize, series, depth)
+    assert got == assert_same(series, depth)
+    assert got.startswith(
         "error: unexplained term at q^101 beyond the confidence bound q^100")
-    assert steps == SWEPT[flat[0]]
+    assert steps == SWEPT[flat[0]] and quotients == []
+
+
+# Deep's two products sweep every factor, and never reach the division.
+DEEP = [([100, -3, 50, 5, 25, -2, 10, -8, 5, 4, 4, 3, 2, 3, 1, -2], 400),
+        ([50, -1, 25, 1, 2, 1, 1, -1], 1100)]
+
+
+@pytest.mark.parametrize("flat, depth", DEEP)
+def test_deep_products_strip_by_product_sweeps_only(flat, depth, capsys,
+                                                    monkeypatch):
+    strip = cli._factor_list  # the CLI's path: the kernel's list, then this
+    made = []
+
+    def spied(*args):
+        with swept_steps() as got:
+            made.append(got)
+            return strip(*args)
+
+    monkeypatch.setattr(cli, "_factor_list", spied)
+    ep = EtaProduct.from_flat(flat)
+    assert cli.main(["factor", str(ep), "--depth", str(depth)]) == 0
+    assert capsys.readouterr().out.startswith(str(ep) + "\n")
+    [(steps, quotients)] = made
+    assert sorted(steps) == sorted(ep.factors) and quotients == []
 
 
 @pytest.mark.parametrize("expr, depth", [
@@ -145,3 +196,25 @@ def test_budget_passed_after_some_sweeps(flat, monkeypatch):
 def test_worst_case_inputs_match(expr, depth):
     assert_same(parse_expression(expr).expand(depth), depth,
                 product=not expr.count("+"))
+
+
+def test_strips_and_division_are_priced_against_the_limit(monkeypatch):
+    # a non-eta-product at depth 400 (u's list of 399) strips until its list
+    # prices pass half the division's, then divides: each strip is checked
+    # with the strips before it, the division with all of them
+    series = parse_expression("[24,1]+[48,1]").expand(400)
+    with swept_steps() as (steps, _):
+        found = outcome(eta_factorize, series, 400)
+    assert found.startswith("error: unexplained term at q^200 beyond")
+    prices = [qseries._route_cost(399, n, abs(r)) for n, r in steps]
+    run = sum(prices) + qseries._division_cost(399)
+    assert steps and sum(prices) <= qseries._division_cost(399) / 2
+    for limit, ns in [(run, None), (run - 1, run),
+                      (sum(prices) - 1, sum(prices))]:
+        monkeypatch.setattr(qseries, "_MAX_NS", limit)
+        if ns is None:
+            assert outcome(eta_factorize, series, 400) == found
+            continue
+        with pytest.raises(ValueError, match=f"about {ns:.0f} ns, past the "
+                           f"limit of {limit:.0f} ns$"):
+            eta_factorize(series, 400)

@@ -478,6 +478,7 @@ def test_dense_lists_stop_at_the_size_limit():
        st.integers(0, 400), st.integers(0, 300))
 @example(1, 3, 400, 0)  # Jacobi's cube, whose terms count twice in a product
 @example(12, -30, 12, 0)  # t = size: no term
+@example(1, 1, 2, 0)  # Euler's one term below q^2, where isqrt(24 + 1) = 5
 def test_list_price_equals_the_materialized_count(t, r, size, bits):
     assert qseries._route_cost(size, t, r, bits) == \
         route_cost_materialized(size, t, r, bits)

@@ -495,6 +495,71 @@ def test_leading_term_equals_the_qseries_route(constant, terms, depth, up):
     assert _leading_term(parts, depth) == leading_term_qseries(combo, depth, up)
 
 
+def _on_lattice(factors, t) -> EtaProduct:
+    """``factors`` times the power of eta(t), t a unit mod 24 (so t*t = 1 mod
+    24), in (-12, 12] that makes sum(t*r) a multiple of 24."""
+    k = -sum(u * r for u, r in factors) * t % 24
+    return EtaProduct(factors + [(t, k - 24 * (k > 12))])
+
+
+units_st = st.sampled_from([1, 5, 7, 11, 13])  # eta(1) missing from some terms
+linear_st = st.lists(st.tuples(fractions_st, factors_st, units_st),
+                     min_size=1, max_size=4)
+PERTURBED = {"pq": (entry31_combo(), 6), "jacobi": (EtaCombo(-1, [
+    (1, EtaProduct.from_flat([4, 8, 2, -24, 1, 16])),
+    (16, EtaProduct.from_flat([4, 16, 2, -24, 1, 8]))]), 16)}
+
+
+def _pure_parts(combo, depth, monkeypatch):
+    """The linear parts of ``combo`` below q^depth, and whether every list
+    was built as a pure product (no negative exponent)."""
+    built = []
+    product_list = prover_module._product_list
+    monkeypatch.setattr(prover_module, "_product_list", lambda fs, size: (
+        built.append(fs), product_list(fs, size))[1])
+    parts = _vanishing_parts(combo, depth)
+    monkeypatch.undo()
+    return parts, all(r > 0 for fs in built for _, r in fs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fractions_st, linear_st, st.integers(-4, 40))
+# eta(5) missing from a term, eta(1) from the other; m_2 = 0 by the constant
+@example(F(1), [(F(1), [(2, 3)], 1), (F(-1), [(2, 2)], 5)], 20)
+@example(F(0), [(F(1), [(2, 3)], 1), (F(-1), [(2, 2)], 5)], 20)  # normalized
+def test_common_denominator_leads_as_the_qseries_route(constant, terms, depth):
+    # random normalized combinations, each term on the lattice by a power of
+    # eta(t) for a unit t, so that a t can be missing from some terms
+    combo = EtaCombo(constant, [(k, _on_lattice(fs, t)) for k, fs, t in terms])
+    if combo.constant == 0 and not combo.terms:
+        return
+    combo = normalize_identity(combo)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        parts, pure = _pure_parts(combo, depth, monkeypatch)
+    assert _leading_term(parts, depth) == leading_term_qseries(combo, depth)
+    assert pure
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PERTURBED)), st.integers(-1, 3),
+       st.sampled_from([F(1), F(-1), F(1, 2), F(-5, 3)]), st.integers(1, 40))
+def test_common_denominator_finds_one_off_perturbations(name, index, delta,
+                                                         depth):
+    combo, top = PERTURBED[name]
+    terms = list(combo.terms)
+    if 0 <= index < len(terms):
+        terms[index] = (terms[index][0] + delta, terms[index][1])
+        combo = EtaCombo(combo.constant, terms)
+    else:  # the constant
+        combo = combo + delta
+    combo = normalize_identity(combo)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        parts, pure = _pure_parts(combo, min(depth, top), monkeypatch)
+    assert _leading_term(parts, min(depth, top)) == leading_term_qseries(
+        combo, min(depth, top))
+    assert pure
+
+
 @pytest.mark.parametrize("argv, code", [
     (["prove", str(RAMANUJAN), "--level", "6", "--yes"], 0),
     (["prove", "pq_refuted.eta", "--level", "6", "--yes"], 1),

@@ -64,8 +64,9 @@ def swept_steps():
     each factor eta(n)^r that ``eta_factorize`` strips by a sweep, with
     r < 0 for a product sweep of u's list w and r > 0 for one of D, the
     product of the inverses of the strips with c < 0, whose first strip is
-    the seed of ``_sweeps``; quotients gets each quotient sweep made,
-    through ``_sweeps`` or on the list by ``qseries._euler_sweep``."""
+    the seed of ``_sweeps`` (a list of Fractions strips w on the list, by
+    the factorizer's own ``_euler_sweep``); quotients gets each quotient
+    sweep made, through ``_sweeps`` or on the list by ``_euler_sweep``."""
     strips, quotients, dens = [], [], []
     sweeps, sweep = etaproducts._sweeps, qseries._euler_sweep
 
@@ -81,8 +82,13 @@ def swept_steps():
         quotients.extend([(t, r)][:r < 0])
         sweep(a, t, r)
 
+    def spy_strip(a, t, r):
+        strips.append((t, -r))
+        spy_sweep(a, t, r)
+
     with mock.patch.object(etaproducts, "_sweeps", spy_sweeps), \
-            mock.patch.object(qseries, "_euler_sweep", spy_sweep):
+            mock.patch.object(qseries, "_euler_sweep", spy_sweep), \
+            mock.patch.object(etaproducts, "_euler_sweep", spy_strip):
         yield strips, quotients
 
 
@@ -218,3 +224,15 @@ def test_strips_and_division_are_priced_against_the_limit(monkeypatch):
         with pytest.raises(ValueError, match=f"about {ns:.0f} ns, past the "
                            f"limit of {limit:.0f} ns$"):
             eta_factorize(series, 400)
+
+
+def test_a_list_of_fractions_strips_w_on_the_list():
+    # the half at q^5 makes the residual's step there non-integral; below it
+    # w is stripped on the list, by product sweeps only
+    ep = EtaProduct.from_flat([5, 6, 1, -6])
+    series = ep.expand(60) + QSeries.monomial(F(1, 2), ep.leading_exponent + 5)
+    with swept_steps() as (steps, quotients):
+        got = outcome(eta_factorize, series, 60)
+    assert got == outcome(eta_factorize_logspace, series, 60)
+    assert got.startswith("error: non-integer coefficient")
+    assert steps == [(1, -6)] and quotients == []

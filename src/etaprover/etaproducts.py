@@ -10,14 +10,14 @@ combination of eta-products plus an explicit rational constant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
-from operator import mul
+from math import ceil, lcm
+from operator import add, mul
 from typing import Iterable, Optional, Union
 
 from .errors import NotAnEtaProductError
-from .qseries import (QSeries, _check_price, _division_cost, _euler_sweep,
-                      _lattice24, _product_list, _route_cost, _sweeps,
-                      _unit_list)
+from .qseries import (QSeries, _check_price, _coeff, _division_cost,
+                      _euler_sweep, _lattice24, _product_list, _route_cost,
+                      _sweeps, _unit_list)
 
 __all__ = ["EtaProduct", "EtaCombo", "eta_factorize"]
 
@@ -120,21 +120,16 @@ class EtaProduct:
 
     # -- expansion ---------------------------------------------------------
 
-    def _expand24(self, d24: int, s24: int) -> QSeries:
-        """Expansion below q^(d24/24), with q^(s24/24) for the prefactors."""
-        size = max(0, -(-(d24 - s24) // 24))
-        return QSeries._from_list(_product_list(self._factors, size), s24, d24)
-
     def expand(self, depth) -> QSeries:
         """q-expansion including the fractional prefactor q^(sum t*r/24)."""
-        return self._expand24(_lattice24(depth), self.degree24)
+        return EtaCombo.from_product(self).expand(depth)
 
     def expand_no_prefactor(self, depth) -> QSeries:
         """q-expansion with every factor's q^(t/24) prefactor omitted.
 
         The result always has integer exponents.
         """
-        return self._expand24(_lattice24(depth), 0)
+        return self.expand(depth + self.leading_exponent).shifted(-self.leading_exponent)
 
 
 class EtaCombo:
@@ -270,11 +265,14 @@ class EtaCombo:
         return out
 
     def expand(self, depth) -> QSeries:
-        """q-expansion: constant + sum of coefficient * product expansions."""
-        acc = QSeries.constant(self._constant).truncated(depth)
-        for a, f in self._terms:
-            acc = acc + f.expand(depth) * a
-        return acc
+        """q-expansion: constant + sum of coefficient * product expansions,
+        one series per class of :func:`_part_sums`, merged by exponent."""
+        d24 = _lattice24(depth)
+        den, sums = _part_sums(_parts(self, d24), d24)
+        series = [QSeries._from_list(acc if den == 1 else [
+            _coeff(Fraction(v, den)) for v in acc], low, d24) for low, acc in sums]
+        return series[0] if len(series) == 1 else QSeries._from24(
+            {e: c for s in series for e, c in zip(s._e, s._c)}, d24)
 
     def __str__(self) -> str:
         parts = []
@@ -294,14 +292,49 @@ class EtaCombo:
         return f"EtaCombo({self._constant!r}, {list(self._terms)!r})"
 
 
+def _parts(combo: EtaCombo, d24: int, den: EtaProduct = EtaProduct()) -> list:
+    """``combo`` below q^(d24/24) as parts (k, s24, a): each term's
+    coefficient k, its offset s24 = sum(t*r) in 1/24 units and the Euler part
+    a of its product over ``den``, the constant's product taken as empty.
+    That quotient is 1 + O(q), so the parts sum to a series that leads as
+    ``combo`` does."""
+    terms = [(combo.constant, EtaProduct())] * bool(combo.constant) + list(combo.terms)
+    return [(a, f.degree24, _product_list((f / den).factors, -(-(d24 - f.degree24) // 24)))
+            for a, f in terms]
+
+
+def _part_sums(parts, d24: int) -> tuple[int, list]:
+    """(den, [(low, acc), ...]): den times the sum of k * q^(s24/24) * a over
+    ``parts`` (rational k, s24 in 1/24 units, int list a) below q^(d24/24),
+    den the common denominator of the k, as one int list acc per class of
+    s24 mod 24, ascending, from the class's lowest offset low."""
+    den, sums = lcm(*[k.denominator for k, _, _ in parts]), []
+    for k, s, a in sorted(parts, key=lambda part: (part[1] % 24, part[1])):
+        if not sums or (s - sums[-1][0]) % 24:  # the next class's lowest s
+            sums.append((s, [0] * max(0, -(-(d24 - s) // 24))))
+        low, acc = sums[-1]
+        i, w = (s - low) // 24, k.numerator * (den // k.denominator)
+        acc[i:i + len(a)] = map(add, acc[i:i + len(a)], [w * v for v in a])
+    return den, sums
+
+
 def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
     """Recognize a q-series as an eta-product by greedy factor stripping.
 
-    Strips the leading q-power q^e0, then :func:`_factor_list` strips u, the
-    rest.  Factors are only trusted up to half the available relative depth;
-    anything left beyond that bound, a non-integer step coefficient, or a
-    leading power inconsistent with the recovered factors raises
-    :class:`NotAnEtaProductError`; a run priced past ``_MAX_NS``, ValueError.
+    Strips the leading q-power q^e0, then u = 1 + O(q), the rest, as a dense
+    list w by product sweeps only.  The residual r = w/D, D = 1 + O(q) the
+    product of the inverses of the strips with c < 0, so a step's c = w[n] -
+    D[n] at the first n where they differ; it sweeps w by (n, c) or D by
+    (n, -c), D's first read from the power table.  Once the strips' list
+    prices would pass half of ``_division_cost`` (c grows exponentially in n
+    for a non-eta-product), b = q r'/r is the O(L^2) division q w'/w less
+    D's log-derivative, and a step subtracts c*d from b at every multiple of
+    each d in n, 2n, ..., about L/n however large c is.  Factors are only
+    trusted up to half the relative depth u is known to; anything left
+    beyond that bound, a non-integer step coefficient, or a leading power
+    inconsistent with the recovered factors raises
+    :class:`NotAnEtaProductError`.  Each strip and the division are priced,
+    with the strips before them, against ``_MAX_NS``: past it, ValueError.
     """
     if depth is None:
         if f.trunc is None:
@@ -314,30 +347,14 @@ def eta_factorize(f: QSeries, depth=None) -> EtaProduct:
         raise NotAnEtaProductError(
             f"leading coefficient is {lt.coefficient}, not 1")
     e0 = lt.exponent
-    rel_depth = Fraction(depth) - e0
-    u = f.shifted(-e0).truncated(rel_depth)
-    a = _unit_list(max(0, ceil(u.trunc)))  # u as a dense list
+    u = f.shifted(-e0).truncated(Fraction(depth) - e0)
+    size, confidence = max(0, ceil(u.trunc)), int(u.trunc) // 2
+    w = _unit_list(size)  # u as a dense list
     for e, c in zip(u._e, u._c):
         if e % 24:
             raise NotAnEtaProductError(
                 f"residual exponent q^{Fraction(e, 24)} off the integer lattice")
-        a[e // 24] = c
-    return _factor_list(a, e0, rel_depth)
-
-
-def _factor_list(w: list, e0, rel_depth) -> EtaProduct:
-    """The eta-product of q^e0 u below q^(e0 + rel_depth), u = 1 + O(q) the
-    dense list ``w``, by product sweeps only.  The residual r = w/D, D =
-    1 + O(q) the product of the inverses of the strips with c < 0, so a
-    step's c = w[n] - D[n] at the first n where they differ; it sweeps w by
-    (n, c) or D by (n, -c), D's first read from the power table.  Once the
-    strips' list prices would pass half of ``_division_cost`` (c grows
-    exponentially in n for a non-eta-product), b = q r'/r is the O(L^2)
-    division q w'/w less D's log-derivative, and a step subtracts c*d from b
-    at every multiple of each d in n, 2n, ..., about L/n however large c is.
-    Each strip and the division are priced, with the strips before them,
-    against ``_MAX_NS``."""
-    size, confidence = len(w), int(rel_depth) // 2
+        w[e // 24] = c
     integral = all([type(c) is int for c in w])
     den, b, logs, factors, spent = _unit_list(size), None, [], [], 0  # den: D
     for n in range(1, size):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import floor, gcd, lcm
-from operator import add, mul
+from operator import mul
 from typing import Optional, Sequence
 
 from . import __version__
@@ -38,7 +38,7 @@ from .errors import (
     InternalInconsistencyError,
     MisalignedRowsError,
 )
-from .etaproducts import EtaCombo, EtaProduct
+from .etaproducts import EtaCombo, EtaProduct, _part_sums, _parts
 from .modularity import modular_function_check
 from .qseries import _product_list, _sweeps
 
@@ -264,19 +264,6 @@ def _not_applicable(level: int, reason: str, *, up_p=None) -> ProofReport:
         required_depth=0, checked_depth=-1, up_p=up_p, reason=reason)
 
 
-def _parts(combo: EtaCombo, depth: int, den=None) -> list:
-    """``combo`` below q^depth as parts, each term's s = sum(t*r)/24 whole
-    and the constant taken as the empty product's coefficient, with each
-    product's Euler part over that of prod eta(t)^m for the (t, m) in the
-    dict ``den``: that is 1 + O(q), so the sum leads as ``combo`` does."""
-    den, parts = den or {}, []
-    for a, f in [(combo.constant, EtaProduct())] * bool(combo.constant) + list(combo.terms):
-        s, r = f.degree24 // 24, dict(f.factors)
-        fs = [(t, r.get(t, 0) - den.get(t, 0)) for t in {*r, *den}]
-        parts.append((a, s, _product_list([(t, k) for t, k in fs if k], depth - s)))
-    return parts
-
-
 def _up_expansion(ep: EtaProduct, p: int, depth: int) -> tuple[int, list]:
     """(n0, a): up_series(ep.expand(p * depth), p) from q^n0, n0 = ceil(s/p).
 
@@ -287,6 +274,8 @@ def _up_expansion(ep: EtaProduct, p: int, depth: int) -> tuple[int, list]:
     n0 = -(-s // p)
     h = [(t, r) for t, r in ep.factors if t % p]
     g = [(t // p, r) for t, r in ep.factors if t % p == 0]
+    if not h:  # q^(s/p) G(q), or 0 when p does not divide s
+        return n0, _product_list(g, depth - n0) if s % p == 0 else [0] * max(depth - n0, 0)
     a = _product_list(h, p * (depth - 1) - s + 1)[p * n0 - s::p]
     _sweeps(a, g)
     return n0, a
@@ -299,24 +288,20 @@ def _vanishing_parts(combo: EtaCombo, depth: int, up=None) -> list:
     part is a pure product; or with ``up = (ep, p)`` U_p ep minus ``combo``."""
     if up is None:
         rows = [dict(f.factors) for _, f in combo.terms] + [{}] * bool(combo.constant)
-        return _parts(combo, depth, {t: min([row.get(t, 0) for row in rows])
-                                     for t in set().union(*rows)})
-    return [(1, *_up_expansion(*up, depth))] + _parts(-combo, depth)
+        return _parts(combo, 24 * depth, EtaProduct(
+            [(t, min([row.get(t, 0) for row in rows])) for t in set().union(*rows)]))
+    n0, a = _up_expansion(*up, depth)
+    return [(1, 24 * n0, a)] + _parts(-combo, 24 * depth)
 
 
 def _leading_term(parts, depth: int) -> Optional[tuple[Fraction, Fraction]]:
     """The first nonzero (exponent, coefficient) below q^depth of the sum of
-    k * q^s * a over ``parts`` (rational k, integer s, int list a), or None."""
-    den = lcm(*[k.denominator for k, _, _ in parts])
-    low = min([s for _, s, _ in parts], default=depth)
-    acc = [0] * (depth - low)
-    for k, s, a in parts:
-        i, w = s - low, k.numerator * (den // k.denominator)
-        acc[i:i + len(a)] = map(add, acc[i:i + len(a)], [w * v for v in a])
-    for n, v in enumerate(acc, low):
-        if v:
-            return Fraction(n), Fraction(v, den)
-    return None
+    ``parts`` (see :func:`_part_sums`), or None."""
+    den, sums = _part_sums(parts, 24 * depth)
+    leads = [next(((low + 24 * n, v) for n, v in enumerate(acc) if v), None)
+             for low, acc in sums]
+    e, v = min(filter(None, leads), default=(None, 0))
+    return None if e is None else (Fraction(e, 24), Fraction(v, den))
 
 
 def _valence_proof(combo: EtaCombo, level: int, *, margin: int,

@@ -4,8 +4,9 @@ that must then fail.
     python tests/mutants.py        # every mutant
     python tests/mutants.py 3 7    # the mutants numbered 3 and 7
 
-The repository is copied into two temporary directories.  The test files
-the rows name first run in one copy unmutated and must pass.  Then two
+The repository is copied into two temporary directories.  The tests the
+rows name (test files or node ids, no other pytest arguments) first run
+together in one copy unmutated and must pass.  Then two
 mutants run at a time, each applied alone to a copy no other mutant is
 using: its tests run with ``python -m pytest -x -q -p no:cacheprovider``,
 and the file is restored.  A mutant is killed when its tests fail.  One
@@ -13,7 +14,7 @@ line is printed per mutant, in row order; the exit code is 1 when a mutant
 survives, when an old text does not occur exactly once in its file, or when
 the unmutated tests fail.  Pytest does not collect this file.
 
-A row is (name, file under src/etaprover, old text, new text, pytest args).
+A row is (name, file under src/etaprover, old text, new text, tests).
 Every change to a fast path adds its rows; a row is only removed together
 with the code it breaks.
 """
@@ -34,7 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKERS = 2  # mutants tested at a time, each in its own copy
 
 SEED = "tests/test_kernel.py::test_expansions_seed_the_same_factors"
-EXPAND = ["tests/test_kernel.py", "-k", "expand"]
+EXPAND = ["tests/test_kernel.py::test_expand_matches_multiply_power_path",
+          "tests/test_kernel.py::test_expand_matches_brute_oracle"]
 POWER = "tests/test_kernel.py::test_euler_power_matches_brute"
 MILLER = "tests/test_kernel.py::test_miller_pow_matches_schoolbook_powers"
 # Deterministic tests first: -x stops there, before Hypothesis shrinks a failure.
@@ -64,6 +66,9 @@ FACTOR_SPY = ("tests/test_factorize.py::"
               "test_deep_products_strip_by_product_sweeps_only")
 FACTOR_PRICE = ("tests/test_factorize.py::"
                 "test_strips_and_division_are_priced_against_the_limit")
+COMBO_EXPAND = "tests/test_kernel.py::test_combo_expand_matches_multiply_power_path"
+CONFIDENCE = ("tests/test_factorize.py::"
+              "test_confidence_is_half_of_what_the_series_knows")
 COMMON = ("tests/test_prover.py::"
           "test_common_denominator_leads_as_the_qseries_route")
 
@@ -145,6 +150,10 @@ MUTANTS = [
      "[p * n0 - s::p]", "[p * n0 - s::p - 1]", UP_EXPANSION),
     ("sweep G at t instead of t/p", "prover.py",
      "g = [(t // p, r)", "g = [(t, r)", UP_EXPANSION),
+    ("build G's list when H is empty and p does not divide s", "prover.py",
+     "if s % p == 0", "if True", UP_EXPANSION),
+    ("slice and sweep when H is empty", "prover.py",
+     "    if not h:  #", "    if False:  #", UP_EXPANSION),
     # The order table and bound B (prover._order_table and its integer helpers).
     ("drop the cusp-count weight in B", "prover.py",
      "bound = Fraction(sum(map(mul, minima, weights)), den)",
@@ -211,29 +220,37 @@ MUTANTS = [
     ("accept one cusp class past the limit", "cusps.py",
      "if count > _MAX_CUSPS:", "if count > _MAX_CUSPS + 1:",
      ["tests/test_cusps.py::test_cusp_classes_are_counted_before_any_is_built"]),
-    # The integer vanishing check both provers share (prover._vanishing_parts
-    # assembles it, prover._leading_term sums it).
+    # The parts and their sums per class of offset mod 24, which EtaCombo.expand
+    # and the provers' vanishing check share (prover._vanishing_parts
+    # assembles the proofs' parts, prover._leading_term reads their sum).
     ("leave the rhs parts unnegated", "prover.py",
-     "_parts(-combo, depth)", "_parts(combo, depth)",
+     "_parts(-combo, 24 * depth)", "_parts(combo, 24 * depth)",
      [VANISHING_PERTURBED, GOLDEN + "[prove_up_u5_level20_refuted.json]"]),
-    ("put a part one place late", "prover.py",
-     "i, w = s - low, k.numerator", "i, w = s - low + 1, k.numerator",
-     [VANISHING_PERTURBED, VANISHING]),
-    ("drop the common denominator", "prover.py",
-     "den = lcm(*[k.denominator for k, _, _ in parts])", "den = 1",
-     [VANISHING_PERTURBED, VANISHING]),
-    ("start the sum at q^0, not at the lowest offset", "prover.py",
-     "low = min([s for _, s, _ in parts], default=depth)", "low = 0",
-     [VANISHING_PERTURBED, VANISHING]),
+    ("put a part one place late", "etaproducts.py",
+     "i, w = (s - low) // 24, k.numerator", "i, w = (s - low) // 24 + 1, k.numerator",
+     [COMBO_EXPAND, VANISHING]),
+    ("drop the common denominator", "etaproducts.py",
+     "den, sums = lcm(*[k.denominator for k, _, _ in parts]), []",
+     "den, sums = 1, []", [COMBO_EXPAND, VANISHING]),
+    ("start a class's sum at q^0, not at its lowest offset", "etaproducts.py",
+     "sums.append((s, [0] *", "sums.append((0, [0] *", [COMBO_EXPAND, VANISHING]),
+    ("key the classes by s, not by s mod 24", "etaproducts.py",
+     "if not sums or (s - sums[-1][0]) % 24:", "if not sums or s - sums[-1][0]:",
+     [COMBO_EXPAND]),
+    ("leave the sums over the common denominator", "etaproducts.py",
+     "acc if den == 1 else [", "acc if True else [", [COMBO_EXPAND]),
     # The refutation probe.
     ("probe a ninth of the depth", "prover.py",
      "depth // _PROBE_SHARE)", "depth // (_PROBE_SHARE + 1))",
      ["tests/test_prover.py::test_probe_leaves_certificates_byte_identical"]),
     # Newman's conditions in integers, and the form character.
     ("take condition 5 mod 24 only", "modularity.py",
-     "% (24 * m) == 0", "% 24 == 0", [NEWMAN]),
+     "% (24 * m) == 0", "% 24 == 0",
+     ["tests/test_modularity.py::test_level10_quotient_fails_conditions_3_and_5",
+      NEWMAN]),
     ("read condition 2 from the exponent sum", "modularity.py",
-     "c2 = ep.degree24 % 24 == 0", "c2 = ep.exponent_sum % 24 == 0", [NEWMAN]),
+     "c2 = ep.degree24 % 24 == 0", "c2 = ep.exponent_sum % 24 == 0",
+     ["tests/test_modularity.py::test_form_check_level40_fixture", NEWMAN]),
     ("test squareness on every t", "modularity.py",
      "c3 = is_square(prod([t for t, r in fs if r & 1]))",
      "c3 = is_square(prod([t for t, r in fs]))",
@@ -277,7 +294,7 @@ MUTANTS = [
      [FACTOR_SPY]),
     ("leave D's log-derivative out at the switch", "etaproducts.py",
      "logs = [f for f in factors[:-1] if f[1] > 0]", "logs = []",
-     ["tests/test_factorize.py", "-k", "after_some"]),
+     ["tests/test_factorize.py::test_budget_passed_after_some_sweeps"]),
     ("let the strips reach a quarter of the division", "etaproducts.py",
      "spent + price <= _division_cost(size) / 2",
      "spent + price <= _division_cost(size) / 4",
@@ -287,9 +304,9 @@ MUTANTS = [
      [FACTOR_PRICE]),
     ("price a strip without the strips before it", "etaproducts.py",
      "spent + (price if strip", "0 + (price if strip", [FACTOR_PRICE]),
-    ("build factor's list one coefficient short", "cli.py",
-     "max(0, ceil(rel_depth))", "max(0, ceil(rel_depth) - 1)",
-     ["tests/test_cli.py::test_factor_of_a_product_prints_as_the_qseries_route"]),
+    ("trust factors to half the depth asked, past what the series knows",
+     "etaproducts.py", "int(u.trunc) // 2", "int(Fraction(depth) - e0) // 2",
+     [CONFIDENCE]),
     # The linear proofs' common eta-denominator.
     ("take m_t without the constant's 0", "prover.py",
      " + [{}] * bool(combo.constant)", "", [COMMON]),
@@ -326,10 +343,9 @@ def main(argv: list) -> int:
             shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
                 ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
             free.put(copy)
-        files = sorted({a.split("::")[0] for _, row in rows for a in row[4]
-                        if a.startswith("tests/")})
-        if _pytest(copy, files):
-            print("the tests fail without any mutant: " + " ".join(files))
+        tests = sorted({a for _, row in rows for a in row[4]})
+        if _pytest(copy, tests):
+            print("the tests fail without any mutant: " + " ".join(tests))
             return 1
 
         def run(row):

@@ -16,7 +16,7 @@ from math import ceil, gcd, isqrt, prod
 from operator import mul
 
 from etaprover import (Cusp, EtaCombo, EtaProduct, QSeries, arith,
-                       modular_function_check)
+                       euler_product, modular_function_check)
 from etaprover import __version__
 from etaprover.errors import NotAnEtaProductError, ParseError
 from etaprover.parser import _Token
@@ -285,7 +285,7 @@ def eta_factorize_logspace(f: QSeries, depth=None) -> EtaProduct:
     e0 = lt.exponent
     rel_depth = Fraction(depth) - e0
     u = f.shifted(-e0).truncated(rel_depth)
-    confidence = int(rel_depth) // 2
+    confidence = int(u.trunc) // 2  # half of what the series knows
     size = max(0, ceil(u.trunc))
     a = [0] * size  # u as a dense list
     for e, c in u.terms():
@@ -411,16 +411,42 @@ def leading_term_qseries(combo, depth: int, up=None):
     """The provers' earlier vanishing check, kept as a reference: the
     ``QSeries`` of ``combo`` below q^depth, or with ``up = (ep, p)`` the
     series U_p(ep) minus it, and its leading term as (exponent, coefficient),
-    or None.  The provers now sum dense int lists in
-    ``prover._leading_term``."""
+    or None, from the ring-built :func:`chain_combo`.  The provers now sum
+    dense int lists in ``prover._leading_term``."""
     from etaprover.up import up_series
 
-    series = combo.expand(Fraction(depth))
+    series = chain_combo(combo, depth)
     if up:
         ep, p = up
-        series = up_series(ep.expand(Fraction(p * depth)), p) - series
+        series = up_series(chain_expand(ep, p * depth), p) - series
     lead = series.leading_term()
     return None if lead is None else (lead.exponent, Fraction(lead.coefficient))
+
+
+# -- the QSeries multiply/power path ----------------------------------------------
+
+
+def chain_expand(ep: EtaProduct, depth, prefactor: bool = True) -> QSeries:
+    """prod euler_product(t, rel)**r by the QSeries ring, shifted by the
+    prefactor when asked: the library's expansion route before its kernel."""
+    depth = Fraction(depth)
+    shift = ep.leading_exponent if prefactor else Fraction(0)
+    rel = depth - shift
+    if rel <= 0:
+        return QSeries.zero(depth)
+    acc = QSeries.one().truncated(rel)
+    for t, r in ep.factors:
+        acc = acc * euler_product(t, rel) ** r
+    return acc.shifted(shift)
+
+
+def chain_combo(combo: EtaCombo, depth) -> QSeries:
+    """The expansion of ``combo`` below q^depth, summed by the QSeries ring
+    from :func:`chain_expand`'s terms."""
+    acc = QSeries.constant(combo.constant).truncated(depth)
+    for a, f in combo.terms:
+        acc = acc + chain_expand(f, depth) * a
+    return acc
 
 
 # -- reference writers ------------------------------------------------------------

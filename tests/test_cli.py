@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etaprover import cli, eta_factorize, parse_expression
+from etaprover import QSeries, cli, eta_factorize, parse_expression
 from etaprover.cli import main
 from etaprover.errors import NotAnEtaProductError
 
-from oracles import random_eta_product
+from oracles import chain_combo, random_eta_product
 
 REPO = Path(__file__).resolve().parent.parent
 RAMANUJAN = REPO / "identities" / "ramanujan_pq.eta"
@@ -459,9 +459,9 @@ def test_factor_within_the_limit_still_finds_a_non_eta_product(capsys):
 
 
 def _factor_by_series(expr: str, depth: int):
-    """``factor``'s exit code, stdout and stderr by the QSeries route."""
+    """``factor``'s exit code, stdout and stderr by the QSeries ring route."""
     try:
-        ep = eta_factorize(parse_expression(expr).expand(depth), depth)
+        ep = eta_factorize(chain_combo(parse_expression(expr), depth), depth)
     except NotAnEtaProductError as exc:
         return 2, "", f"not an eta-product: {exc}\n"
     return 0, f"{ep}\n{ep.eta_string()}\n", ""
@@ -471,13 +471,35 @@ def _factor_by_series(expr: str, depth: int):
 @given(st.builds(lambda seed: random_eta_product(random.Random(seed)),
                  st.integers(0, 2**32)), st.integers(1, 60))
 def test_factor_of_a_product_prints_as_the_qseries_route(ep, depth):
-    # a product's list goes from the kernel to the factorizer; depths at or
-    # below the leading power leave it empty
+    # the expansion summed from the kernel's lists against the one the ring
+    # multiplies out; depths at or below the leading power leave it empty
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["factor", str(ep), "--depth", str(depth)])
     assert (code, out.getvalue(), err.getvalue()) == \
         _factor_by_series(str(ep), depth)
+
+
+@pytest.mark.parametrize("argv, code, want", [
+    (["expand", "[50,-1,25,1,2,1,1,-1]", "--depth", "1300"], 0, []),
+    (["expand", "3/2 + [5,6,1,-6] - 2/3*[5,12,1,-12]", "--depth", "40"], 0, []),
+    (["factor", "[100,-3,50,5,25,-2,10,-8,5,4,4,3,2,3,1,-2]", "--depth",
+      "400"], 0, []),
+    (["factor", "[5,6,1,-6] + [5,12,1,-12]", "--depth", "100"], 2, []),
+    # two classes of exponents mod 1: their series merge in one dict
+    (["expand", "[1,1] + [2,1]", "--depth", "30"], 0, ["_from24"]),
+])
+def test_commands_sum_the_parts_with_no_ring_operation(argv, code, want,
+                                                       monkeypatch, capsys):
+    calls = []
+    for name in ("__add__", "__mul__", "_scale", "_from24"):
+        f = getattr(QSeries, name)
+        wrap = staticmethod if name == "_from24" else (lambda g: g)
+        monkeypatch.setattr(QSeries, name, wrap(
+            lambda *args, f=f, name=name: calls.append(name) or f(*args)))
+    assert main(argv) == code
+    capsys.readouterr()
+    assert calls == want
 
 
 # Grammar tokens plus characters that are letters, digits of other scripts or

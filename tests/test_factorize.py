@@ -139,6 +139,16 @@ def test_zero_and_off_lattice_series_match():
         "error: residual exponent q^1/24 off the integer lattice"
 
 
+@pytest.mark.parametrize("depth", [None, F(155, 4), 1000])
+def test_confidence_is_half_of_what_the_series_knows(depth):
+    # 40 coefficients are known past q^(-5/4), so factors are trusted to q^20
+    # however far past the truncation the depth asks
+    series = QSeries([(F(-5, 4), 1), (F(115, 4), 1)], trunc=F(155, 4))
+    assert assert_same(series, depth) == (
+        "error: unexplained term at q^30 beyond the confidence bound q^20; "
+        "confirmed factors so far: []")
+
+
 def test_budget_passed_at_the_first_step():
     series = EtaProduct.from_flat([1, 24]).expand(300)
     with swept_steps() as (steps, _):
@@ -176,7 +186,7 @@ DEEP = [([100, -3, 50, 5, 25, -2, 10, -8, 5, 4, 4, 3, 2, 3, 1, -2], 400),
 @pytest.mark.parametrize("flat, depth", DEEP)
 def test_deep_products_strip_by_product_sweeps_only(flat, depth, capsys,
                                                     monkeypatch):
-    strip = cli._factor_list  # the CLI's path: the kernel's list, then this
+    strip = cli.eta_factorize  # the CLI's path: the expansion, then this
     made = []
 
     def spied(*args):
@@ -184,7 +194,7 @@ def test_deep_products_strip_by_product_sweeps_only(flat, depth, capsys,
             made.append(got)
             return strip(*args)
 
-    monkeypatch.setattr(cli, "_factor_list", spied)
+    monkeypatch.setattr(cli, "eta_factorize", spied)
     ep = EtaProduct.from_flat(flat)
     assert cli.main(["factor", str(ep), "--depth", str(depth)]) == 0
     assert capsys.readouterr().out.startswith(str(ep) + "\n")

@@ -25,38 +25,15 @@ from etaprover.qseries import (_POWERS, _euler_power, _euler_sweep, _jacobi_cube
                                _pentagonal, _sweeps)
 from etaprover.prover import _up_expansion
 
-from oracles import (eta_quotient_brute, euler_brute, euler_sweep_scalar,
-                     miller_pow_inverse_branch, pdiv, pmul, ppow,
-                     route_cost_materialized)
+from oracles import (chain_combo, chain_expand, eta_quotient_brute,
+                     euler_brute, euler_sweep_scalar, miller_pow_inverse_branch,
+                     pdiv, pmul, ppow, route_cost_materialized)
 
 F = Fraction
 
 settings.register_profile("kernel", max_examples=60, deadline=None,
                           database=None)
 settings.load_profile("kernel")
-
-
-# -- the second engine: the QSeries multiply/power path ---------------------------
-
-
-def chain_expand(ep: EtaProduct, depth, prefactor: bool = True) -> QSeries:
-    """prod euler_product(t, rel)**r, shifted by the prefactor when asked."""
-    depth = F(depth)
-    shift = ep.leading_exponent if prefactor else F(0)
-    rel = depth - shift
-    if rel <= 0:
-        return QSeries.zero(depth)
-    acc = QSeries.one().truncated(rel)
-    for t, r in ep.factors:
-        acc = acc * euler_product(t, rel) ** r
-    return acc.shifted(shift)
-
-
-def chain_combo(combo: EtaCombo, depth) -> QSeries:
-    acc = QSeries.constant(combo.constant).truncated(depth)
-    for a, f in combo.terms:
-        acc = acc + chain_expand(f, depth) * a
-    return acc
 
 
 def strip_factorize(f: QSeries, depth=None) -> EtaProduct:
@@ -76,7 +53,7 @@ def strip_factorize(f: QSeries, depth=None) -> EtaProduct:
         if e.denominator != 1:
             raise NotAnEtaProductError(
                 f"residual exponent q^{e} off the integer lattice")
-    confidence = int(rel_depth) // 2
+    confidence = int(u.trunc) // 2  # half of what the series knows
     factors = []
     while True:
         step = next(((int(e), c) for e, c in u.terms() if e != 0), None)
@@ -248,13 +225,14 @@ def test_expand_property_is_multiplicative(fs, gs, depth):
         (f.expand(depth) * g.expand(depth)).truncated(depth)
 
 
-@given(factor_lists,
-       st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 6)), max_size=3),
+@given(st.lists(st.tuples(factor_lists, st.integers(-9, 9), st.integers(1, 6)),
+                max_size=4),
        st.integers(-9, 9), lattice_depths)
-def test_combo_property_matches_multiply_power_path(fs, coeffs, const, depth):
-    base = EtaProduct(fs)
-    terms = [(F(a, b), base ** (i + 1)) for i, (a, b) in enumerate(coeffs)]
-    combo = EtaCombo(F(const, 4), terms)
+@example([([(1, 1)], 1, 1), ([(2, 1)], 1, 1)], 0, F(50))  # two classes mod 1
+@example([([(5, 6), (1, -6)], 1, 2), ([(5, 12), (1, -12)], -1, 3)], 3, F(9))
+def test_combo_property_matches_multiply_power_path(terms, const, depth):
+    # unrelated products, so that terms share a class of exponents mod 1 or not
+    combo = EtaCombo(F(const, 4), [(F(a, b), EtaProduct(fs)) for fs, a, b in terms])
     assert same(combo.expand(depth), chain_combo(combo, depth))
 
 
@@ -494,8 +472,8 @@ def test_the_price_stops_at_the_limit(monkeypatch):
     # 44.  In U_5 of [10,-5,1,50], H = (1, 50) is the seed of a list of 246,
     # with 24 pentagonal terms below it, and G = (2, -5) sweeps the sliced list
     # of 50 coefficients: the larger of the two prices is the binding one.
-    # In U_5 of [10,-5,5,10] H is empty and G's sweeps are the whole price,
-    # (1, 10) adding 3 cube sweeps of 2 * 285 and an Euler sweep of 335
+    # In U_5 of [10,-5,5,10] H is empty and s = 0, so G's list is the first
+    # build's, (1, 10) its seed
     assert qseries._route_cost(50, 2, -5) == 100 * (188 + 2 * 222)
     ep = EtaProduct.from_flat([10, -5, 1, 50])
     g_only = EtaProduct.from_flat([10, -5, 5, 10])
@@ -503,7 +481,7 @@ def test_the_price_stops_at_the_limit(monkeypatch):
                100 * 50 * 10 + 100 * (188 + 2 * 222)),
               (lambda: _up_expansion(ep, 5, 50)[1], 100 * 246 * 24),
               (lambda: _up_expansion(g_only, 5, 50)[1],
-               100 * (188 + 2 * 222) + 50 * (3 * 2 * 285 + 335))]
+               100 * 50 * 10 + 100 * (188 + 2 * 222))]
     want = [build() for build, _ in builds]
     for (build, price), a in zip(builds, want):
         monkeypatch.setattr(qseries, "_MAX_NS", price)

@@ -14,3 +14,9 @@ def test_every_old_text_occurs_exactly_once():
               for name, path, old, _, _ in MUTANTS]
     assert [row for row in counts if row[2] != 1] == []
     assert len({name for name, _, _ in counts}) == len(counts)
+
+
+def test_every_row_names_tests_only():
+    # the unmutated run takes every row's tests in one pytest call
+    assert [a for *_, tests in MUTANTS for a in tests
+            if not a.startswith("tests/")] == []

@@ -22,6 +22,7 @@ from etaprover import (
     sum_of_column_minima,
 )
 from etaprover.cusps import cusp_set, gamma0_cusp_order
+from etaprover import etaproducts as etaproducts_module
 from etaprover import prover as prover_module
 from etaprover.errors import (
     EmptyIdentityError,
@@ -417,7 +418,7 @@ def test_nonzero_past_required_still_raises(truncates, monkeypatch):
     the valence bound, whether the probe or the full expansion meets it."""
     combo = normalize_identity(_pq(9))
     def parts_of_q5(combo, depth, up=None):  # cut at the depth or not
-        return [(F(1), 5, [1][:max(depth - 5, 0)] if truncates else [1])]
+        return [(F(1), 5 * 24, [1][:max(depth - 5, 0)] if truncates else [1])]
     monkeypatch.setattr(prover_module, "_vanishing_parts", parts_of_q5)
     with pytest.raises(InternalInconsistencyError, match="q\\^5"):
         _valence_proof(combo, 6, margin=40, verify=True,
@@ -514,12 +515,12 @@ def _pure_parts(combo, depth):
     """The linear parts of ``combo`` below q^depth, and whether every list
     was built as a pure product (no negative exponent)."""
     built = []
-    product_list = prover_module._product_list
+    product_list = etaproducts_module._product_list
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(prover_module, "_product_list", lambda fs, size: (
+        monkeypatch.setattr(etaproducts_module, "_product_list", lambda fs, size: (
             built.append(fs), product_list(fs, size))[1])
         parts = _vanishing_parts(combo, depth)
-    return parts, all(r > 0 for fs in built for _, r in fs)
+    return parts, bool(built) and all(r > 0 for fs in built for _, r in fs)
 
 
 @settings(max_examples=150, deadline=None)

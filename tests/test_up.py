@@ -319,18 +319,22 @@ def _coprime_level(rng, p):
 
 def _drawn_product(rng, p, kind):
     """A product with integer s = sum(t*r)/24: some factors with p | t and
-    some without ("mixed"), none with p | t, or only such factors."""
+    some without ("mixed"), none with p | t, or only such factors, with p | s
+    ("divisible") or, for p = 2 and 3, times eta(p)^(24/p), so that s moves
+    by 1 and p does not divide it ("shifted")."""
     if kind == "mixed":
         return sampled_modular_product(rng, p * rng.randint(2, 6))
     ep = sampled_modular_product(rng, _coprime_level(rng, p))
     if kind == "coprime":
         return ep
-    return EtaProduct([(p * t, r) for t, r in ep.factors])
+    shift = [(p, 24 // p)] if kind == "shifted" and 24 % p == 0 else []
+    return EtaProduct([(p * t, r) for t, r in ep.factors] + shift)
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.integers(0, 10**6), st.sampled_from([2, 3, 5, 7]),
-       st.sampled_from(["mixed", "coprime", "divisible"]), st.integers(0, 40))
+       st.sampled_from(["mixed", "coprime", "divisible", "shifted"]),
+       st.integers(0, 40))
 def test_up_expansion_matches_definition(seed, p, kind, depth):
     ep = _drawn_product(random.Random(seed), p, kind)
     assert _up_series(ep, p, depth) == _up_reference(ep, p, depth)
@@ -347,6 +351,9 @@ def test_up_expansion_matches_definition(seed, p, kind, depth):
     ([1, 48], 2),                     # s = 2, no factor with p | t
     ([7, 24], 7),                     # s = 7, only factors with p | t
     ([4, 12, 2, -12], 2),             # s = 1, only factors with p | t, p not dividing s
+    ([6, -4, 3, -8], 3),              # s = -2, only factors with p | t, p not dividing s
+    ([4, -6, 2, -12], 2),             # s = -2, only factors with p | t
+    ([10, 24, 5, -24], 5),            # s = 5, only factors with p | t
 ])
 def test_up_expansion_by_sign_of_s(flat, p):
     ep = EtaProduct.from_flat(flat)
@@ -360,11 +367,13 @@ def test_up_expansion_by_sign_of_s(flat, p):
 
 
 @pytest.mark.parametrize("flat, p, depth, want", [
-    (EP_g100.flat(), 5, 12, ["_product_list"]),
-    ([4, 12, 2, -12], 2, 12, ["_product_list"]),  # p does not divide s
+    (EP_g100.flat(), 5, 12, ["_product_list", "_sweeps"]),
+    ([10, 24, 5, -24], 5, 12, ["_product_list"]),  # no H, p | s: G's list
+    ([4, 12, 2, -12], 2, 12, []),  # no H, p does not divide s: zeros
 ])
 def test_up_expansion_slices_one_list(monkeypatch, flat, p, depth, want):
-    # one dense list, sliced and swept, and no QSeries built; no sift
+    # one dense list, sliced and swept, and no QSeries built; no sift; with
+    # no H, G's list is built directly and nothing sweeps
     import etaprover.etaproducts as etaproducts_module
     import etaprover.prover as prover_module
     import etaprover.up as up_module
@@ -379,6 +388,7 @@ def test_up_expansion_slices_one_list(monkeypatch, flat, p, depth, want):
 
     for owner in (prover_module, etaproducts_module):
         spy(owner, "_product_list")
+    spy(prover_module, "_sweeps")
     spy(up_module, "up_series")
     spy(QSeries, "sift")
     spy(QSeries, "_shift")

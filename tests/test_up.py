@@ -368,8 +368,8 @@ def test_up_expansion_by_sign_of_s(flat, p):
 
 @pytest.mark.parametrize("flat, p, depth, want", [
     (EP_g100.flat(), 5, 12, ["_product_list", "_sweeps"]),
-    ([10, 24, 5, -24], 5, 12, ["_product_list"]),  # no H, p | s: G's list
     ([4, 12, 2, -12], 2, 12, []),  # no H, p does not divide s: zeros
+    ([10, 24, 5, -24], 5, 12, ["_product_list"]),  # no H, p | s: G's list
 ])
 def test_up_expansion_slices_one_list(monkeypatch, flat, p, depth, want):
     # one dense list, sliced and swept, and no QSeries built; no sift; with

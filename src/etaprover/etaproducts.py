@@ -292,15 +292,14 @@ class EtaCombo:
         return f"EtaCombo({self._constant!r}, {list(self._terms)!r})"
 
 
-def _parts(combo: EtaCombo, d24: int, den: EtaProduct = EtaProduct()) -> list:
+def _parts(combo: EtaCombo, d24: int, quotients=None) -> list:
     """``combo`` below q^(d24/24) as parts (k, s24, a): each term's
     coefficient k, its offset s24 = sum(t*r) in 1/24 units and the Euler part
-    a of its product over ``den``, the constant's product taken as empty.
-    That quotient is 1 + O(q), so the parts sum to a series that leads as
-    ``combo`` does."""
+    a of its product, the constant's taken as empty, or of the factors that
+    ``quotients`` gives for it, one list per term in that order."""
     terms = [(combo.constant, EtaProduct())] * bool(combo.constant) + list(combo.terms)
-    return [(a, f.degree24, _product_list((f / den).factors, -(-(d24 - f.degree24) // 24)))
-            for a, f in terms]
+    return [(a, f.degree24, _product_list(fs, -(-(d24 - f.degree24) // 24)))
+            for (a, f), fs in zip(terms, quotients or [f.factors for _, f in terms])]
 
 
 def _part_sums(parts, d24: int) -> tuple[int, list]:

@@ -274,8 +274,6 @@ def _up_expansion(ep: EtaProduct, p: int, depth: int) -> tuple[int, list]:
     n0 = -(-s // p)
     h = [(t, r) for t, r in ep.factors if t % p]
     g = [(t // p, r) for t, r in ep.factors if t % p == 0]
-    if not h:  # q^(s/p) G(q), or 0 when p does not divide s
-        return n0, _product_list(g, depth - n0) if s % p == 0 else [0] * max(depth - n0, 0)
     a = _product_list(h, p * (depth - 1) - s + 1)[p * n0 - s::p]
     _sweeps(a, g)
     return n0, a
@@ -287,9 +285,10 @@ def _vanishing_parts(combo: EtaCombo, depth: int, up=None) -> list:
     its terms, 0 for a term without eta(t) and for the constant, so that each
     part is a pure product; or with ``up = (ep, p)`` U_p ep minus ``combo``."""
     if up is None:
-        rows = [dict(f.factors) for _, f in combo.terms] + [{}] * bool(combo.constant)
-        return _parts(combo, 24 * depth, EtaProduct(
-            [(t, min([row.get(t, 0) for row in rows])) for t in set().union(*rows)]))
+        rows = [{}] * bool(combo.constant) + [dict(f.factors) for _, f in combo.terms]
+        m = {t: min([row.get(t, 0) for row in rows]) for t in set().union(*rows)}
+        return _parts(combo, 24 * depth, [[(t, row.get(t, 0) - m[t]) for t in m
+                                           if row.get(t, 0) != m[t]] for row in rows])
     n0, a = _up_expansion(*up, depth)
     return [(1, 24 * n0, a)] + _parts(-combo, 24 * depth)
 

@@ -150,10 +150,6 @@ MUTANTS = [
      "[p * n0 - s::p]", "[p * n0 - s::p - 1]", UP_EXPANSION),
     ("sweep G at t instead of t/p", "prover.py",
      "g = [(t // p, r)", "g = [(t, r)", UP_EXPANSION),
-    ("build G's list when H is empty and p does not divide s", "prover.py",
-     "if s % p == 0", "if True", UP_EXPANSION),
-    ("slice and sweep when H is empty", "prover.py",
-     "    if not h:  #", "    if False:  #", UP_EXPANSION),
     # The order table and bound B (prover._order_table and its integer helpers).
     ("drop the cusp-count weight in B", "prover.py",
      "bound = Fraction(sum(map(mul, minima, weights)), den)",
@@ -309,7 +305,8 @@ MUTANTS = [
      [CONFIDENCE]),
     # The linear proofs' common eta-denominator.
     ("take m_t without the constant's 0", "prover.py",
-     " + [{}] * bool(combo.constant)", "", [COMMON]),
+     "min([row.get(t, 0) for row in rows])",
+     "min([row.get(t, 0) for row in rows[bool(combo.constant):]])", [COMMON]),
     ("take m_t over the terms that hold eta(t) only", "prover.py",
      "min([row.get(t, 0) for row in rows])",
      "min([row[t] for row in rows if t in row])", [COMMON]),

@@ -384,6 +384,17 @@ def test_depth_or_margin_past_the_index_size_is_a_usage_error(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_margin_past_the_list_limit_with_no_h_is_a_usage_error(tmp_path, capsys):
+    # every t of the U_2 side is even and s = 1 is odd, so U_2 of it is 0;
+    # its list to twice the depth still passes the limit on a dense list
+    path = tmp_path / "no_h.eta"
+    path.write_text("U(2) [4,12,2,-12] = 0\n")
+    code, out, err = run(capsys, "prove-up", str(path), "--level", "4",
+                         "--yes", "--margin", "1000000")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: a series of ") and len(err.splitlines()) == 1
+
+
 def test_flags_only_where_read(tmp_path, capsys):
     cert = tmp_path / "expand.json"
     code, _, _ = run(capsys, "expand", "[1,1]", "--json", str(cert))

@@ -472,8 +472,8 @@ def test_the_price_stops_at_the_limit(monkeypatch):
     # 44.  In U_5 of [10,-5,1,50], H = (1, 50) is the seed of a list of 246,
     # with 24 pentagonal terms below it, and G = (2, -5) sweeps the sliced list
     # of 50 coefficients: the larger of the two prices is the binding one.
-    # In U_5 of [10,-5,5,10] H is empty and s = 0, so G's list is the first
-    # build's, (1, 10) its seed
+    # In U_5 of [10,-5,5,10] H is empty and G's sweeps are the whole price,
+    # (1, 10) adding 3 cube sweeps of 2 * 285 and an Euler sweep of 335
     assert qseries._route_cost(50, 2, -5) == 100 * (188 + 2 * 222)
     ep = EtaProduct.from_flat([10, -5, 1, 50])
     g_only = EtaProduct.from_flat([10, -5, 5, 10])
@@ -481,7 +481,7 @@ def test_the_price_stops_at_the_limit(monkeypatch):
                100 * 50 * 10 + 100 * (188 + 2 * 222)),
               (lambda: _up_expansion(ep, 5, 50)[1], 100 * 246 * 24),
               (lambda: _up_expansion(g_only, 5, 50)[1],
-               100 * 50 * 10 + 100 * (188 + 2 * 222))]
+               100 * (188 + 2 * 222) + 50 * (3 * 2 * 285 + 335))]
     want = [build() for build, _ in builds]
     for (build, price), a in zip(builds, want):
         monkeypatch.setattr(qseries, "_MAX_NS", price)

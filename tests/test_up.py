@@ -367,13 +367,11 @@ def test_up_expansion_by_sign_of_s(flat, p):
 
 
 @pytest.mark.parametrize("flat, p, depth, want", [
-    (EP_g100.flat(), 5, 12, ["_product_list", "_sweeps"]),
-    ([4, 12, 2, -12], 2, 12, []),  # no H, p does not divide s: zeros
-    ([10, 24, 5, -24], 5, 12, ["_product_list"]),  # no H, p | s: G's list
+    (EP_g100.flat(), 5, 12, ["_product_list"]),
+    ([4, 12, 2, -12], 2, 12, ["_product_list"]),  # p does not divide s
 ])
 def test_up_expansion_slices_one_list(monkeypatch, flat, p, depth, want):
-    # one dense list, sliced and swept, and no QSeries built; no sift; with
-    # no H, G's list is built directly and nothing sweeps
+    # one dense list, sliced and swept, and no QSeries built; no sift
     import etaprover.etaproducts as etaproducts_module
     import etaprover.prover as prover_module
     import etaprover.up as up_module
@@ -388,7 +386,6 @@ def test_up_expansion_slices_one_list(monkeypatch, flat, p, depth, want):
 
     for owner in (prover_module, etaproducts_module):
         spy(owner, "_product_list")
-    spy(prover_module, "_sweeps")
     spy(up_module, "up_series")
     spy(QSeries, "sift")
     spy(QSeries, "_shift")

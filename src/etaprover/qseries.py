@@ -428,15 +428,21 @@ def _miller_pow(terms: list, n: int, size: int) -> list:
 
 
 @lru_cache(maxsize=256)
-def _sweep_terms(t: int, r: int, size: int) -> tuple:
-    """The sweeps of (t, r) below q^size, as term tuples ((e, c), ...) without
-    q^0: Jacobi's cube per full three of |r|, Euler's series per unit left."""
+def _sweep_series(t: int, size: int) -> tuple:
+    """(cube, euler, cube_ops, euler_ops): Jacobi's cube and Euler's series at
+    t below q^size, as term tuples ((e, c), ...) without q^0, and each one's
+    sum of size - e, the term operations of one sweep of a list of size."""
     limit = -(-size // t)
-    cubes, ones = divmod(abs(r), 3)
-    return tuple([tuple([(t * n, c) for n, c in series[1:]])
-                  for series, count in ((_jacobi_cube(limit), cubes),
-                                        (_pentagonal(limit), ones))
-                  for _ in range(count)])
+    cube = tuple([(t * n, c) for n, c in _jacobi_cube(limit)[1:]])
+    euler = tuple([(t * n, c) for n, c in _pentagonal(limit)[1:]])
+    return cube, euler, *[sum([size - e for e, _ in s]) for s in (cube, euler)]
+
+
+def _sweep_terms(t: int, r: int, size: int) -> tuple:
+    """The sweeps of (t, r) below q^size, from :func:`_sweep_series`: Jacobi's
+    cube per full three of |r|, Euler's series per unit left."""
+    cube, euler, _, _ = _sweep_series(t, size)
+    return (cube,) * (abs(r) // 3) + (euler,) * (abs(r) % 3)
 
 
 def _euler_sweep(a: list, t: int, r: int) -> None:
@@ -445,8 +451,6 @@ def _euler_sweep(a: list, t: int, r: int) -> None:
     per term tuple of :func:`_sweep_terms`.  A product reads only old values,
     so it adds each term as one shifted copy of the list; a quotient sweeps
     up the list, so that each read sees the finished quotient."""
-    if len(a) <= t:
-        return
     for terms in _sweep_terms(t, r, len(a)):
         if r > 0:
             old = a[:]
@@ -463,19 +467,6 @@ def _euler_sweep(a: list, t: int, r: int) -> None:
             a[n] += s
 
 
-@lru_cache(maxsize=1024)
-def _sweep_ops(t: int, size: int) -> tuple:
-    """(cube, euler, count): the sums of size - e over the terms c q^e,
-    0 < e < size, of Jacobi's cube and Euler's series at t, and the count of
-    Euler's, in closed form over e/t = k(k+1)/2 and j(3j -+ 1)/2, k, j >= 1."""
-    n = max(-(-size // t) - 1, 0)
-    K, root = (isqrt(8 * n + 1) - 1) // 2, isqrt(24 * n + 1)
-    J1, J2 = (root + 1) // 6, (root - 1) // 6
-    cube = K * size - t * K * (K + 1) * (K + 2) // 6
-    euler = (J1 + J2) * size - t * (J1 * J1 * (J1 + 1) + J2 * (J2 + 1) ** 2) // 2
-    return cube, euler, J1 + J2
-
-
 def _route_cost(size: int, t: int, r: int, bits: int = 0, passes: int = 0) -> float:
     """About the ns of (t, r) on a list of ``size`` ints of ``bits`` bits, or
     for t = 0 of packing it ``bits`` bits an int, ``passes`` shift-add passes
@@ -488,7 +479,7 @@ def _route_cost(size: int, t: int, r: int, bits: int = 0, passes: int = 0) -> fl
     quotient operation took 190-235 ns on lists of 100000, past that range."""
     if not t:
         return size * (370 + 0.9 * bits + 0.037 * bits * passes)
-    cube, euler, _ = _sweep_ops(t, size)
+    _, _, cube, euler = _sweep_series(t, size)
     cubes, ones = divmod(abs(r), 3)
     ops = (1 + (r > 0)) * cubes * cube + ones * euler
     return (50 if r > 0 else 100) * (1 + bits / 500) * ops
@@ -505,7 +496,7 @@ def _check_price(factors, size: int, fill: int = 0, ns: float = 0) -> None:
     of ``fill`` (fill x its pentagonal terms at the quotient rate) passes
     ``_MAX_NS``."""
     ns += sum([_route_cost(size, t, r) for t, r in factors],
-              100 * fill * _sweep_ops(1, fill)[2])
+              100 * fill * len(_sweep_series(1, fill)[1]))
     if ns > _MAX_NS:
         raise ValueError(f"this expansion would take about {ns:.0f} ns, "
                          f"past the limit of {_MAX_NS:.0f} ns")
@@ -570,8 +561,8 @@ def _sweeps(a: list, factors, seed: tuple = (0, 0)) -> None:
 
 # Dense prod_{n>=1} (1 - q^n)^r by r, shared by every expansion in the
 # process, since (q^t;q^t)^r is this series spread out.  Filled on demand, so
-# import does no work.  The deep benchmark workload holds 10 entries of 3945
-# coefficients in all (180 KiB) after its warm-ups and 10 seed-1 blocks, and no
+# import does no work.  The deep benchmark workload holds 14 entries of 5309
+# coefficients in all (225 KiB) after its warm-ups and 10 seed-1 blocks, and no
 # more after its 20; the caps bound what a stream of distinct exponents or
 # depths can hold (least recently used out, a longer request not kept).
 _POWERS: dict[int, list] = {}

@@ -98,11 +98,14 @@ MUTANTS = [
     ("invert a quotient's route choice", "qseries.py",
      "top + grow, passes)) >= plain:", "top + grow, passes)) < plain:",
      [ROUTES]),
-    # The list price, in closed form.
+    # The list price, and the one enumeration of the sweeps it reads.
     ("price a product's cube without its |c| > 1 weight", "qseries.py",
      "ops = (1 + (r > 0)) * cubes * cube", "ops = cubes * cube", [PRICE]),
-    ("count one pentagonal term too few", "qseries.py",
-     "J1, J2 = (root + 1) // 6", "J1, J2 = root // 6", [PRICE]),
+    ("count size - e + 1 operations a term", "qseries.py",
+     "sum([size - e for e, _ in s])", "sum([size - e + 1 for e, _ in s])",
+     [PRICE]),
+    ("enumerate Euler's series from q^2", "qseries.py",
+     "_pentagonal(limit)[1:]", "_pentagonal(limit)[2:]", [PRICE]),
     # Miller's recurrence, shared by the power table and QSeries powers.
     ("Miller weight n*j - k", "qseries.py",
      "s += (w * j - k) * c * vj", "s += (n * j - k) * c * vj",

@@ -345,41 +345,43 @@ def fricke_twin(combo: EtaCombo, level: int):
 # -- reference kernels ------------------------------------------------------------
 
 
+def sweeps_enumerated(t: int, r: int, size: int) -> list:
+    """The sweeps of (t, r) below q^size, each a list of its terms (e, c),
+    0 < e < size, enumerated afresh for every sweep: Jacobi's cube per full
+    three of |r|, Euler's series per unit left."""
+    from etaprover.qseries import _jacobi_cube, _pentagonal
+
+    limit = -(-size // t)
+    cubes, ones = divmod(abs(r), 3)
+    return [[(t * n, c) for n, c in series(limit)[1:]]
+            for series, count in ((_jacobi_cube, cubes), (_pentagonal, ones))
+            for _ in range(count)]
+
+
 def euler_sweep_scalar(a: list, t: int, r: int) -> None:
     """The library's earlier ``_euler_sweep``, kept as a reference: every
     sweep, product or quotient, is one scalar loop over the list.  A product
     runs from the top down, so each read sees an old value.  The library now
     adds a product's terms as shifted copies of the list."""
-    from etaprover.qseries import _jacobi_cube, _pentagonal
-
-    if len(a) <= t:
-        return
-    limit = -(-len(a) // t)
     order = range(len(a) - 1, t - 1, -1) if r > 0 else range(t, len(a))
-    cubes, ones = divmod(abs(r), 3)
-    for series, count in ((_jacobi_cube(limit), cubes),
-                          (_pentagonal(limit), ones)):
-        terms = [(t * n, c if r > 0 else -c) for n, c in series[1:]]
-        for _ in range(count):
-            for n in order:
-                s = 0
-                for e, c in terms:
-                    if e > n:
-                        break
-                    s += c * a[n - e]
-                a[n] += s
+    for terms in sweeps_enumerated(t, r, len(a)):
+        for n in order:
+            s = 0
+            for e, c in terms:
+                if e > n:
+                    break
+                s += c * a[n - e]
+            a[n] += s if r > 0 else -s
 
 
 def route_cost_materialized(size: int, t: int, r: int, bits: int = 0) -> float:
     """The list side of the library's earlier ``_route_cost``, kept as the
-    reference for its closed-form price: every term operation counted on the
-    materialized sweeps, size - e for each term c q^e of each sweep of
-    ``_sweep_terms``, twice for a product's |c| > 1, at 50 ns for a product
-    and 100 for a quotient, 2% more per 10 bits."""
-    from etaprover.qseries import _sweep_terms
-
+    reference for its price: every term operation counted on the sweeps
+    :func:`sweeps_enumerated` gives, size - e for each term c q^e, twice for
+    a product's |c| > 1, at 50 ns for a product and 100 for a quotient, 2%
+    more per 10 bits."""
     ops = sum([(size - e) * (1 + (r > 0 and c * c > 1))
-               for s in _sweep_terms(t, r, size) for e, c in s])
+               for s in sweeps_enumerated(t, r, size) for e, c in s])
     return (50 if r > 0 else 100) * (1 + bits / 500) * ops
 
 

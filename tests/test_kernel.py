@@ -8,6 +8,7 @@ compared with the old greedy stripping done by that same path, down to the
 text of every error.
 """
 
+import itertools
 import random
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from etaprover.prover import _up_expansion
 
 from oracles import (chain_combo, chain_expand, eta_quotient_brute,
                      euler_brute, euler_sweep_scalar, miller_pow_inverse_branch,
-                     pdiv, pmul, ppow, route_cost_materialized)
+                     pdiv, pmul, ppow, route_cost_materialized, sweeps_enumerated)
 
 F = Fraction
 
@@ -460,8 +461,19 @@ def test_dense_lists_stop_at_the_size_limit():
 def test_list_price_equals_the_materialized_count(t, r, size, bits):
     assert qseries._route_cost(size, t, r, bits) == \
         route_cost_materialized(size, t, r, bits)
-    count = qseries._sweep_ops(t, size)[2]
+    count = len(qseries._sweep_series(t, size)[1])
     assert count == max(len(_pentagonal(-(-size // t))) - 1, 0)
+
+
+def test_equal_sweeps_share_one_enumeration():
+    # a huge |r| repeats two term tuples, Jacobi's cube and Euler's series at
+    # (t, size), rather than building one per sweep
+    for r, count in ((3 * 10**6, 10**6), (-3 * 10**6 - 2, 10**6 + 2)):
+        sweeps = qseries._sweep_terms(2, r, 5)
+        assert len(sweeps) == count and len(set(map(id, sweeps))) <= 2
+    for t, r, size in itertools.product(range(1, 5), range(-7, 8), range(0, 30, 3)):
+        assert list(map(list, qseries._sweep_terms(t, r, size))) == \
+            sweeps_enumerated(t, r, size)
 
 
 def test_the_price_stops_at_the_limit(monkeypatch):
